@@ -228,7 +228,7 @@ pub fn evaluate(plan: &AdvPlan, cfg: &EvalConfig) -> EvalOutcome {
         Some(cap) => cfg.max_cycles.min(cap),
         None => cfg.max_cycles,
     };
-    let skip = ise_engine::cycle_skip_override().unwrap_or(!sys_cfg.reference_clock);
+    let skip = ise_engine::skip_clock(&sys_cfg);
     let (stats, timed_out) = sys.run_bounded(budget, skip);
 
     // A timed-out run is reported, not audited — mid-flight state

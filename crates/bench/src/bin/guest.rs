@@ -15,7 +15,7 @@
 
 use ise_bench::emit_report;
 use ise_isa::programs;
-use ise_sim::guest::run_guest_program;
+use ise_sim::guest::{guest_config, run_guest_program};
 use ise_telemetry::Registry;
 use ise_types::json::ToJson;
 use std::path::PathBuf;
@@ -40,7 +40,7 @@ fn main() {
         write_bins();
         return;
     }
-    let skip = ise_engine::cycle_skip_override().unwrap_or(true);
+    let skip = ise_engine::skip_clock(&guest_config());
 
     let mut report = Registry::new();
     let mut failures = 0;

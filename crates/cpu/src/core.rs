@@ -12,7 +12,7 @@
 use crate::rob::{ReplayRing, RobEntry, RobRing};
 use crate::store_buffer::{DrainFault, StoreBuffer};
 use crate::trace::{PersistTrace, TraceSource};
-use ise_engine::{cycle_skip_override, Cycle};
+use ise_engine::{skip_clock, Cycle};
 use ise_mem::hierarchy::{Access, MemoryHierarchy};
 use ise_types::addr::{Addr, ByteMask};
 use ise_types::config::CoreConfig;
@@ -701,9 +701,9 @@ impl<T: PersistTrace> Core<T> {
 /// Runs a single core to completion against a hierarchy with no faults and
 /// returns its stats — the building block of the Table 3 speedup study.
 ///
-/// `max_cycles` bounds runaway executions. Uses the cycle-skipping clock
-/// unless `ISE_CYCLE_SKIP=0` forces the reference per-cycle loop; the two
-/// produce identical statistics (see [`run_to_completion_clocked`]).
+/// `max_cycles` bounds runaway executions. The clock is the one
+/// [`ise_engine::skip_clock`] picks for the hierarchy's configuration;
+/// both clocks produce identical statistics (see [`run_cores`]).
 ///
 /// # Panics
 ///
@@ -714,56 +714,15 @@ pub fn run_to_completion<T: TraceSource>(
     hier: &mut MemoryHierarchy,
     max_cycles: Cycle,
 ) -> CoreStats {
-    run_to_completion_clocked(
-        core,
-        hier,
-        max_cycles,
-        cycle_skip_override().unwrap_or(true),
-    )
-}
-
-/// [`run_to_completion`] with an explicit clock choice: `skip = false`
-/// runs the reference `now += 1` loop, `skip = true` jumps the clock to
-/// [`Core::next_event`] and bulk-charges the skipped window via
-/// [`Core::charge_idle`]. Both produce identical [`CoreStats`]; the
-/// differential tests pin that down.
-///
-/// # Panics
-///
-/// Same conditions as [`run_to_completion`]; the cycle budget trips at
-/// the same cycle under either clock (jumps clamp to `max_cycles`).
-pub fn run_to_completion_clocked<T: TraceSource>(
-    core: &mut Core<T>,
-    hier: &mut MemoryHierarchy,
-    max_cycles: Cycle,
-    skip: bool,
-) -> CoreStats {
-    let mut now = 0;
-    loop {
-        match core.step(now, hier) {
-            StepOutcome::Finished => return core.stats(),
-            StepOutcome::Progress | StepOutcome::Waiting => {}
-            StepOutcome::Imprecise(_) | StepOutcome::Precise { .. } => {
-                panic!("unexpected exception in run_to_completion")
-            }
-        }
-        let next = if skip {
-            core.next_event(now).clamp(now + 1, max_cycles)
-        } else {
-            now + 1
-        };
-        core.charge_idle(now, next - now - 1);
-        now = next;
-        assert!(now < max_cycles, "exceeded cycle budget");
-    }
+    let skip = skip_clock(hier.config());
+    run_cores(std::slice::from_mut(core), hier, max_cycles, skip, |_| {});
+    core.stats()
 }
 
 /// Steps a set of cores round-robin against a shared hierarchy until all
 /// finish, returning per-core stats — the multicore building block of the
-/// Table 3 study (exception-free runs only).
-///
-/// Uses the cycle-skipping clock unless `ISE_CYCLE_SKIP=0` forces the
-/// reference loop (see [`run_multicore_clocked`]).
+/// Table 3 study (exception-free runs only). The clock is picked as in
+/// [`run_to_completion`].
 ///
 /// # Panics
 ///
@@ -773,29 +732,36 @@ pub fn run_multicore<T: TraceSource>(
     hier: &mut MemoryHierarchy,
     max_cycles: Cycle,
 ) -> Vec<CoreStats> {
-    run_multicore_clocked(
-        cores,
-        hier,
-        max_cycles,
-        cycle_skip_override().unwrap_or(true),
-    )
+    let skip = skip_clock(hier.config());
+    run_cores(cores, hier, max_cycles, skip, |_| {});
+    cores.iter().map(|c| c.stats()).collect()
 }
 
-/// [`run_multicore`] with an explicit clock choice. Under `skip = true`
-/// the clock jumps to the minimum of every unfinished core's
-/// [`Core::next_event`] — a global window in which *no* core acts, so no
-/// core's view of the shared hierarchy can diverge from the reference
-/// schedule — and each core is bulk-charged for the window.
+/// The bare-core clock loop: steps `cores` round-robin against a shared
+/// hierarchy from cycle 0 until all finish, handing each core to
+/// `on_step` right after its step (the ASO sweep samples store-buffer
+/// occupancy there).
+///
+/// `skip = false` runs the reference `now += 1` loop. `skip = true`
+/// jumps the clock to the minimum of every core's [`Core::next_event`] —
+/// a global window in which *no* core acts, so no core's view of the
+/// shared hierarchy can diverge from the reference schedule — and
+/// bulk-charges each core for the window via [`Core::charge_idle`].
+/// Both clocks step every core at the same cycles, so they produce
+/// identical [`CoreStats`] and identical `on_step` observations; the
+/// differential tests pin that down.
 ///
 /// # Panics
 ///
-/// Same conditions as [`run_multicore`].
-pub fn run_multicore_clocked<T: TraceSource>(
+/// Panics if any core reports an exception or `max_cycles` elapses — at
+/// the same cycle under either clock, since jumps clamp to `max_cycles`.
+pub fn run_cores<T: TraceSource>(
     cores: &mut [Core<T>],
     hier: &mut MemoryHierarchy,
     max_cycles: Cycle,
     skip: bool,
-) -> Vec<CoreStats> {
+    mut on_step: impl FnMut(&Core<T>),
+) {
     let mut now = 0;
     loop {
         let mut all_done = true;
@@ -804,12 +770,13 @@ pub fn run_multicore_clocked<T: TraceSource>(
                 StepOutcome::Finished => {}
                 StepOutcome::Progress | StepOutcome::Waiting => all_done = false,
                 StepOutcome::Imprecise(_) | StepOutcome::Precise { .. } => {
-                    panic!("unexpected exception in run_multicore")
+                    panic!("unexpected exception on a bare core")
                 }
             }
+            on_step(core);
         }
         if all_done {
-            return cores.iter().map(|c| c.stats()).collect();
+            return;
         }
         let next = if skip {
             cores
@@ -821,8 +788,11 @@ pub fn run_multicore_clocked<T: TraceSource>(
         } else {
             now + 1
         };
-        for core in cores.iter_mut() {
-            core.charge_idle(now, next - now - 1);
+        let skipped = next - now - 1;
+        if skipped > 0 {
+            for core in cores.iter_mut() {
+                core.charge_idle(now, skipped);
+            }
         }
         now = next;
         assert!(now < max_cycles, "exceeded cycle budget");
@@ -1121,6 +1091,12 @@ mod tests {
         }
     }
 
+    /// One core through the shared loop on an explicit clock.
+    fn run_one_clocked(c: &mut Core<VecTrace>, h: &mut MemoryHierarchy, skip: bool) -> CoreStats {
+        run_cores(std::slice::from_mut(c), h, 10_000_000, skip, |_| {});
+        c.stats()
+    }
+
     #[test]
     fn cycle_skip_matches_reference_per_model() {
         for model in [
@@ -1131,10 +1107,10 @@ mod tests {
             let trace = store_heavy_trace(120);
             let mut h_ref = hier();
             let mut c_ref = core_with(model, trace.clone());
-            let reference = run_to_completion_clocked(&mut c_ref, &mut h_ref, 10_000_000, false);
+            let reference = run_one_clocked(&mut c_ref, &mut h_ref, false);
             let mut h_skip = hier();
             let mut c_skip = core_with(model, trace);
-            let skipped = run_to_completion_clocked(&mut c_skip, &mut h_skip, 10_000_000, true);
+            let skipped = run_one_clocked(&mut c_skip, &mut h_skip, true);
             assert_eq!(reference, skipped, "model {model:?}");
         }
     }
@@ -1155,10 +1131,10 @@ mod tests {
         for model in [ConsistencyModel::Pc, ConsistencyModel::Wc] {
             let mut h_ref = hier();
             let mut c_ref = core_with(model, trace.clone());
-            let reference = run_to_completion_clocked(&mut c_ref, &mut h_ref, 10_000_000, false);
+            let reference = run_one_clocked(&mut c_ref, &mut h_ref, false);
             let mut h_skip = hier();
             let mut c_skip = core_with(model, trace.clone());
-            let skipped = run_to_completion_clocked(&mut c_skip, &mut h_skip, 10_000_000, true);
+            let skipped = run_one_clocked(&mut c_skip, &mut h_skip, true);
             assert_eq!(reference, skipped, "model {model:?}");
             assert!(
                 reference.sync_stall_cycles > 0,
@@ -1184,14 +1160,20 @@ mod tests {
                 ),
             ]
         };
+        // Stats and the per-step hook's view (peak store-buffer
+        // occupancy, the ASO sweep's sample) must agree across clocks.
+        let run = |model, skip| {
+            let mut h = hier();
+            let mut cores = build(model);
+            let mut peak = 0;
+            run_cores(&mut cores, &mut h, 10_000_000, skip, |c| {
+                peak = peak.max(c.sb_len())
+            });
+            let stats: Vec<CoreStats> = cores.iter().map(|c| c.stats()).collect();
+            (stats, peak)
+        };
         for model in [ConsistencyModel::Sc, ConsistencyModel::Wc] {
-            let mut h_ref = hier();
-            let mut ref_cores = build(model);
-            let reference = run_multicore_clocked(&mut ref_cores, &mut h_ref, 10_000_000, false);
-            let mut h_skip = hier();
-            let mut skip_cores = build(model);
-            let skipped = run_multicore_clocked(&mut skip_cores, &mut h_skip, 10_000_000, true);
-            assert_eq!(reference, skipped, "model {model:?}");
+            assert_eq!(run(model, false), run(model, true), "model {model:?}");
         }
     }
 

@@ -14,7 +14,10 @@
 //! (reference) and one to `ISE_CYCLE_SKIP=1` (skip) and asserts
 //! byte-identical reports. The spellings are the shared ones from
 //! [`ise_types::env`], and a malformed value aborts the run instead of
-//! silently deferring to the configured default.
+//! silently deferring to the configured default. [`skip_clock`] is the
+//! single place that combines the override with the configuration.
+
+use ise_types::config::SystemConfig;
 
 /// Parses a cycle-skip override string: `Some(false)` for
 /// `0`/`off`/`false`/`no`, `Some(true)` for `1`/`on`/`true`/`yes`
@@ -26,9 +29,8 @@ pub fn parse_cycle_skip(value: Option<&str>) -> Option<bool> {
 
 /// The `ISE_CYCLE_SKIP` environment override. `Some(false)` forces the
 /// reference per-cycle clock, `Some(true)` forces cycle skipping,
-/// `None` (unset) defers to the caller's configuration
-/// (`SystemConfig::reference_clock` in `ise-sim`, on by default
-/// elsewhere).
+/// `None` (unset) defers to [`SystemConfig::reference_clock`] (see
+/// [`skip_clock`]).
 ///
 /// # Panics
 ///
@@ -37,6 +39,19 @@ pub fn parse_cycle_skip(value: Option<&str>) -> Option<bool> {
 /// leg.
 pub fn cycle_skip_override() -> Option<bool> {
     ise_types::env::env_flag("ISE_CYCLE_SKIP")
+}
+
+/// The one clock decision every simulator loop defers to: `true` runs
+/// the cycle-skipping clock, `false` the per-cycle reference clock.
+/// `ISE_CYCLE_SKIP` wins when set; otherwise
+/// [`SystemConfig::reference_clock`] decides (off by default, so the
+/// skip clock is the default everywhere).
+///
+/// # Panics
+///
+/// As [`cycle_skip_override`], on a malformed `ISE_CYCLE_SKIP`.
+pub fn skip_clock(cfg: &SystemConfig) -> bool {
+    cycle_skip_override().unwrap_or(!cfg.reference_clock)
 }
 
 /// Parses a watchdog cell-budget string: `Some(cycles)` for a positive

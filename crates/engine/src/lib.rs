@@ -30,7 +30,7 @@ pub mod rng;
 
 pub use clock::{
     cell_budget, ckpt_every, cycle_skip_override, parse_cell_budget, parse_ckpt_every,
-    parse_cycle_skip,
+    parse_cycle_skip, skip_clock,
 };
 pub use queue::EventQueue;
 pub use rng::SimRng;

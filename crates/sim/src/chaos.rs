@@ -389,7 +389,7 @@ impl ChaosCampaign {
             Some(cap) => self.chaos.max_cycles.min(cap),
             None => self.chaos.max_cycles,
         };
-        let skip = ise_engine::cycle_skip_override().unwrap_or(!self.cfg.reference_clock);
+        let skip = ise_engine::skip_clock(&self.cfg);
         let (stats, timed_out) = sys.run_bounded(budget, skip);
 
         // A timed-out cell is reported, not audited: conservation and

@@ -2,7 +2,7 @@
 
 use ise_core::{CompositeResolver, ContractMonitor, EInject, FaultResolver, Fsb, Fsbc, OrderEvent};
 use ise_cpu::{Core, StepOutcome, VecTrace};
-use ise_engine::{cycle_skip_override, Cycle};
+use ise_engine::{skip_clock, Cycle};
 use ise_mem::{FlatMemory, MemoryHierarchy};
 use ise_os::handler::OverheadBreakdown;
 use ise_os::{InterruptControl, OsKernel, Process, ProcessState};
@@ -761,8 +761,7 @@ impl System {
     /// Panics if `max_cycles` elapses first — at the same cycle under
     /// either clock, since jumps clamp to `max_cycles`.
     pub fn run(&mut self, max_cycles: Cycle) -> SystemStats {
-        let skip = cycle_skip_override().unwrap_or(!self.cfg.reference_clock);
-        self.run_clocked(max_cycles, skip)
+        self.run_clocked(max_cycles, skip_clock(&self.cfg))
     }
 
     /// [`System::run`] with an explicit clock choice, ignoring both the
@@ -927,9 +926,11 @@ impl System {
     fn finalize(&mut self) -> SystemStats {
         let stats = self.build_stats();
         // Assemble the full telemetry spine: the system-level stats
-        // registry, then every component's exported counters, merged
-        // into the plane that already holds the run's drain-episode
-        // summaries.
+        // registry, then every component's exported counters, written
+        // over the plane that already holds the run's drain-episode
+        // summaries. The counters are cumulative, so a later finalize
+        // (a run resumed after a `run_bounded` cut) must overwrite the
+        // earlier one's values, not add to them.
         let mut reg = stats.to_registry();
         for core in &self.cores {
             core.export_telemetry(&mut reg);
@@ -950,7 +951,7 @@ impl System {
         }
         self.hier.export_telemetry(&mut reg);
         self.os.export_telemetry(&mut reg);
-        self.tel.registry.merge(&reg);
+        self.tel.registry.overwrite(&reg);
         self.final_stats = Some(stats.clone());
         stats
     }
@@ -1472,6 +1473,44 @@ mod tests {
             render(System::new(small_cfg(), &w).with_trace(4096), false),
             "tracing must not perturb the metrics plane"
         );
+    }
+
+    #[test]
+    fn registry_after_split_runs_matches_one_uninterrupted_run() {
+        // Every `run_bounded` cut finalizes; the resumed run's finalize
+        // must replace the cut's cumulative counters, not add to them.
+        // The 1,000-cycle cut lands before the first drain episode, so
+        // the live drain keys first appear after a finalize.
+        let mb = microbench(&MicrobenchConfig::small(8));
+        let w = Workload {
+            name: "mbench".into(),
+            traces: vec![mb.iterations[0].trace.clone()],
+            einject_pages: mb.iterations[0].faulting_pages.clone(),
+        };
+        for skip in [false, true] {
+            let mut one = System::new(small_cfg(), &w);
+            let stats = one.run_clocked(100_000_000, skip);
+            let want = one.telemetry().registry.render();
+            let total = stats.cycles;
+            for cuts in [vec![1_000], vec![1_000, total / 3, 2 * total / 3]] {
+                let mut sys = System::new(small_cfg(), &w);
+                for &cut in &cuts {
+                    assert!(
+                        sys.run_bounded(cut, skip).1,
+                        "cut at {cut} must land mid-run"
+                    );
+                }
+                let (split, timed_out) = sys.run_bounded(100_000_000, skip);
+                assert!(!timed_out);
+                assert_eq!(split.to_json().render(), stats.to_json().render());
+                assert_eq!(
+                    sys.telemetry().registry.render(),
+                    want,
+                    "{} cut(s), skip={skip}",
+                    cuts.len()
+                );
+            }
+        }
     }
 
     #[test]

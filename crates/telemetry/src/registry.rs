@@ -212,6 +212,24 @@ impl Registry {
         }
     }
 
+    /// Writes `other` over this registry with set semantics: every key of
+    /// `other` takes `other`'s value, and those keys move, in `other`'s
+    /// order, behind the keys only this registry holds. Writing the same
+    /// cumulative snapshot twice is therefore idempotent, and the result
+    /// does not depend on whether a key held here was registered before
+    /// or after an earlier overwrite — the end-of-run contract for a
+    /// run finalized more than once. Shard reduction uses
+    /// [`Registry::merge`] instead.
+    pub fn overwrite(&mut self, other: &Registry) {
+        self.entries
+            .retain(|(name, _)| !other.index.contains_key(name));
+        self.entries.extend(other.entries.iter().cloned());
+        self.index.clear();
+        for (i, (name, _)) in self.entries.iter().enumerate() {
+            self.index.insert(name.clone(), i);
+        }
+    }
+
     /// Renders the registry as a JSON object in insertion order.
     pub fn render(&self) -> String {
         self.to_json().render()
@@ -367,6 +385,22 @@ mod tests {
         b.add("third", 3);
         a.merge(&b);
         assert_eq!(a.render(), r#"{"first":1,"second":2,"third":3}"#);
+    }
+
+    #[test]
+    fn overwrite_sets_values_and_keeps_own_keys_first() {
+        let mut end = Registry::new();
+        end.add("cycles", 10);
+        end.gauge("hwm", 2.0);
+        let mut live = Registry::new();
+        live.add("early", 1);
+        live.overwrite(&end);
+        live.add("late", 4);
+        end.add("cycles", 5);
+        live.overwrite(&end);
+        live.overwrite(&end);
+        assert_eq!(live.render(), r#"{"early":1,"late":4,"cycles":15,"hwm":2}"#);
+        assert_eq!(live.counter("late"), 4, "index rebuilt after the move");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! performs **zero** additional heap allocations.
 //!
 //! `System::run_bounded` unavoidably allocates a fixed amount *per call*
-//! (stats vectors, telemetry registry merge), so the test measures two
+//! (stats vectors, the end-of-run telemetry write), so the test measures two
 //! consecutive windows of different lengths: the second simulates twice
 //! as many cycles as the first. Any per-cycle allocation on the clocked
 //! path would make the longer window allocate strictly more; equality
@@ -20,27 +20,38 @@ use imprecise_store_exceptions::types::addr::Addr;
 use imprecise_store_exceptions::types::{Instruction, SystemConfig};
 use imprecise_store_exceptions::workloads::Workload;
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 /// Counts every allocation and reallocation; frees are not counted (the
 /// assertion is about acquiring memory, not churning it).
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Per-thread count, so the test harness running both `#[test]`s in
+    /// parallel threads cannot charge one test's warm-up to the other's
+    /// measured window. A `const` `Cell` needs no allocation and no
+    /// destructor, so the allocator may touch it at any point.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with` fails only while the thread's locals are torn down.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { SystemAlloc.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { SystemAlloc.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { SystemAlloc.realloc(ptr, layout, new_size) }
     }
 
@@ -52,8 +63,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 /// A long, exception-free, cache-and-NoC-exercising workload: two cores
