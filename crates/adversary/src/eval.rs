@@ -241,17 +241,17 @@ pub fn evaluate(plan: &AdvPlan, cfg: &EvalConfig) -> EvalOutcome {
         (v, invariants::applied_visibility_violations(&sys))
     };
 
-    let os = sys.os_kernel();
+    let os = sys.os_kernel().counters();
     EvalOutcome {
         key: plan.key(),
         timed_out,
         violations,
         corruption,
         killed: stats.killed,
-        retry_exhausted: os.retry_exhausted(),
-        backoff_cycles: os.backoff_cycles(),
-        continuation_invocations: os.continuation_invocations(),
-        continuation_dispatch_cycles: os.continuation_dispatch_cycles(),
+        retry_exhausted: os.retry_exhausted,
+        backoff_cycles: os.backoff_cycles,
+        continuation_invocations: os.continuation_invocations,
+        continuation_dispatch_cycles: os.continuation_dispatch_cycles,
         early_drain_interrupts: stats.early_drain_interrupts,
         fsb_high_water_mark: stats.fsb_high_water_mark,
         discarded: sys.discarded_per_core().iter().sum(),

@@ -7,11 +7,12 @@
 //! "with batching" bars).
 
 use ise_bench::{
-    emit_report, print_table, report_sections, FIG5_IO_LATENCY, FIG5_IO_PAGES_FULL,
-    FIG5_IO_PAGES_QUICK, FIG5_PAGES_FULL, FIG5_PAGES_QUICK,
+    emit_report, print_table, FIG5_IO_LATENCY, FIG5_IO_PAGES_FULL, FIG5_IO_PAGES_QUICK,
+    FIG5_PAGES_FULL, FIG5_PAGES_QUICK,
 };
 use ise_sim::experiments::{fig5, fig5_demand_paging};
 use ise_sim::report::render_bars;
+use ise_telemetry::Registry;
 use ise_types::ToJson;
 
 fn main() {
@@ -94,7 +95,7 @@ fn main() {
     );
     emit_report(
         "fig5",
-        &report_sections([
+        &Registry::from_sections([
             ("rows", rows.to_json()),
             ("demand_paging", io_rows.to_json()),
         ]),

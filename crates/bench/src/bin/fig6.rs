@@ -4,9 +4,10 @@
 //! Pass `--quick` for the reduced test scale. Wall-clock goes to stderr
 //! so stdout stays byte-stable.
 
-use ise_bench::{emit_report, print_table, report_sections};
+use ise_bench::{emit_report, print_table};
 use ise_sim::experiments::{fig6, fig6_cloudsuite, Fig6Scale};
 use ise_sim::report::render_bars;
+use ise_telemetry::Registry;
 use ise_types::ToJson;
 
 fn main() {
@@ -74,6 +75,6 @@ fn main() {
     );
     emit_report(
         "fig6",
-        &report_sections([("rows", rows.to_json()), ("cloudsuite", ext.to_json())]),
+        &Registry::from_sections([("rows", rows.to_json()), ("cloudsuite", ext.to_json())]),
     );
 }

@@ -18,45 +18,21 @@
 //!   golden image and asserts both restores FAIL: the format must
 //!   reject, not misparse, damaged images.
 
+use ise_bench::snapshot_smoke_cell;
 use ise_sim::System;
-use ise_types::{SystemConfig, ToJson};
-use ise_workloads::microbench::{microbench, MicrobenchConfig};
-use ise_workloads::Workload;
+use ise_types::ToJson;
 
 const GOLDEN_SNAPSHOT: &str = "crates/bench/tests/golden/snapshot_v1.ises";
 const GOLDEN_REGISTRY: &str = "crates/bench/tests/golden/snapshot_v1_registry.json";
 const MAX_CYCLES: u64 = 2_000_000_000;
 
-/// The fixed cell every mode runs: a single-core microbench iteration
-/// with enough faulting pages to exercise the FSB, FSBC, and OS-handler
-/// machinery a snapshot must capture.
-fn smoke_cell() -> (SystemConfig, Workload) {
-    let mb = microbench(&MicrobenchConfig {
-        stores_per_iter: 2_000,
-        iterations: 1,
-        array_bytes: 256 << 10,
-        faulting_pages_per_iter: 16,
-        seed: 7,
-    });
-    let workload = Workload {
-        name: "snapshot-smoke".into(),
-        traces: vec![mb.iterations[0].trace.clone()],
-        einject_pages: mb.iterations[0].faulting_pages.clone(),
-    };
-    let mut cfg = SystemConfig::isca23();
-    cfg.noc.mesh_x = 2;
-    cfg.noc.mesh_y = 1;
-    cfg.cores = 1;
-    (cfg, workload)
-}
-
 fn build() -> System {
-    let (cfg, workload) = smoke_cell();
+    let (cfg, workload) = snapshot_smoke_cell();
     System::new(cfg, &workload).with_contract_monitor()
 }
 
 fn differential() {
-    let skip = ise_engine::skip_clock(&smoke_cell().0);
+    let skip = ise_engine::skip_clock(&snapshot_smoke_cell().0);
     let mut cold = build();
     let cold_stats = cold.run_clocked(MAX_CYCLES, skip);
     let cold_json = cold_stats.to_json().render();

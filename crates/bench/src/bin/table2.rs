@@ -56,6 +56,6 @@ fn main() {
     print_table("Table 2: system parameters (SystemConfig::isca23)", &rows);
     ise_bench::emit_report(
         "table2",
-        &ise_bench::report_sections([("config", ise_types::ToJson::to_json(&c))]),
+        &ise_telemetry::Registry::from_sections([("config", ise_types::ToJson::to_json(&c))]),
     );
 }

@@ -4,8 +4,9 @@
 //!
 //! Pass `--quick` for the reduced test scale.
 
-use ise_bench::{emit_report, kb, print_table, report_sections};
+use ise_bench::{emit_report, kb, print_table};
 use ise_sim::experiments::{table3, Table3Scale};
+use ise_telemetry::Registry;
 use ise_types::ToJson;
 
 fn main() {
@@ -50,5 +51,8 @@ fn main() {
         "Table 3: mixes, WC speedup over SC, required ASO speculation state",
         &out,
     );
-    emit_report("table3", &report_sections([("rows", rows.to_json())]));
+    emit_report(
+        "table3",
+        &Registry::from_sections([("rows", rows.to_json())]),
+    );
 }

@@ -14,7 +14,9 @@ use ise_litmus::runner::{run_test_with_policy, FaultMode};
 use ise_sim::report::render_table;
 use ise_telemetry::Registry;
 use ise_types::model::DrainPolicy;
-use ise_types::{ConsistencyModel, Json};
+use ise_types::{ConsistencyModel, Json, SystemConfig};
+use ise_workloads::microbench::{microbench, MicrobenchConfig};
+use ise_workloads::Workload;
 use std::fmt::Write;
 
 /// The fault-intensity axis (faulting pages per iteration) the full
@@ -111,11 +113,9 @@ pub fn table5_report_with_snapshot() -> (String, Registry) {
     use ise_core::{ContractMonitor, OrderEvent};
     use ise_sim::System;
     use ise_types::addr::{Addr, ByteMask};
-    use ise_types::config::SystemConfig;
     use ise_types::exception::ErrorCode;
     use ise_types::{CoreId, FaultingStoreEntry, Instruction};
     use ise_workloads::layout::EINJECT_BASE;
-    use ise_workloads::Workload;
 
     let mut out = String::new();
     let rows = vec![
@@ -249,11 +249,28 @@ pub fn emit_report(label: &str, snapshot: &Registry) {
     println!("JSON {label}: {}", snapshot.render());
 }
 
-/// Builds the report snapshot for a list of `(section, value)` pairs —
-/// sugar over [`Registry::from_sections`] for binaries whose report is a
-/// handful of row arrays.
-pub fn report_sections<K: Into<String>>(sections: impl IntoIterator<Item = (K, Json)>) -> Registry {
-    Registry::from_sections(sections)
+/// The fixed cell the `snapshot_smoke` binary and the restore fuzz test
+/// run, and the checked-in `snapshot_v1.ises` was cut from: a single-core microbench iteration
+/// with enough faulting pages to exercise the FSB, FSBC, and OS-handler
+/// machinery a snapshot must capture.
+pub fn snapshot_smoke_cell() -> (SystemConfig, Workload) {
+    let mb = microbench(&MicrobenchConfig {
+        stores_per_iter: 2_000,
+        iterations: 1,
+        array_bytes: 256 << 10,
+        faulting_pages_per_iter: 16,
+        seed: 7,
+    });
+    let workload = Workload {
+        name: "snapshot-smoke".into(),
+        traces: vec![mb.iterations[0].trace.clone()],
+        einject_pages: mb.iterations[0].faulting_pages.clone(),
+    };
+    let mut cfg = SystemConfig::isca23();
+    cfg.noc.mesh_x = 2;
+    cfg.noc.mesh_y = 1;
+    cfg.cores = 1;
+    (cfg, workload)
 }
 
 /// Formats an `Option<f64>` KB value.

@@ -82,7 +82,7 @@ fn fig5_quick_registry_matches_snapshot() {
     use ise_types::ToJson;
     let rows = fig5(ise_bench::FIG5_PAGES_QUICK);
     let io_rows = fig5_demand_paging(ise_bench::FIG5_IO_PAGES_QUICK, ise_bench::FIG5_IO_LATENCY);
-    let registry = ise_bench::report_sections([
+    let registry = ise_telemetry::Registry::from_sections([
         ("rows", rows.to_json()),
         ("demand_paging", io_rows.to_json()),
     ]);
@@ -98,8 +98,10 @@ fn fig6_quick_registry_matches_snapshot() {
     let scale = Fig6Scale::quick();
     let rows = fig6(&scale);
     let ext = fig6_cloudsuite(&scale);
-    let registry =
-        ise_bench::report_sections([("rows", rows.to_json()), ("cloudsuite", ext.to_json())]);
+    let registry = ise_telemetry::Registry::from_sections([
+        ("rows", rows.to_json()),
+        ("cloudsuite", ext.to_json()),
+    ]);
     check_golden("fig6_quick_registry.json", &(registry.render() + "\n"));
 }
 

@@ -151,8 +151,8 @@ impl EInject {
             }
             let pages: Vec<PageId> = Persist::restore(r)?;
             for p in &pages {
-                let base = p.index() * PAGE_SIZE;
-                if !self.region.contains(&base) {
+                let base = p.index().checked_mul(PAGE_SIZE);
+                if !base.is_some_and(|b| self.region.contains(&b)) {
                     return Err(PersistError::Corrupt(
                         "EInject faulting page outside region",
                     ));

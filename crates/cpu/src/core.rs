@@ -135,29 +135,9 @@ impl<T: TraceSource> Core<T> {
     /// order — the per-core shard of the system-wide metrics spine.
     pub fn export_telemetry(&self, reg: &mut ise_telemetry::Registry) {
         let n = self.id.index();
-        reg.add(&format!("core{n}.retired"), self.stats.retired);
-        reg.add(&format!("core{n}.cycles"), self.stats.cycles);
-        reg.add(
-            &format!("core{n}.store_stall_cycles"),
-            self.stats.store_stall_cycles,
-        );
-        reg.add(
-            &format!("core{n}.sync_stall_cycles"),
-            self.stats.sync_stall_cycles,
-        );
-        reg.add(&format!("core{n}.l1d_misses"), self.stats.l1d_misses);
-        reg.add(
-            &format!("core{n}.imprecise_exceptions"),
-            self.stats.imprecise_exceptions,
-        );
-        reg.add(
-            &format!("core{n}.faulting_stores"),
-            self.stats.faulting_stores,
-        );
-        reg.add(
-            &format!("core{n}.precise_exceptions"),
-            self.stats.precise_exceptions,
-        );
+        for (name, v) in self.stats.fields() {
+            reg.add(&format!("core{n}.{name}"), v);
+        }
         reg.add(&format!("core{n}.sb_drained"), self.sb.drained());
         reg.add(&format!("core{n}.sb_coalesced"), self.sb.coalesced());
     }

@@ -199,6 +199,10 @@ impl ise_types::persist::Persist for CacheArray {
             if tags.len() != slots || lru.len() != slots || flags.len() != slots {
                 return Err(PersistError::Corrupt("cache array lengths"));
             }
+            let max_tag = u64::MAX / LINE_SIZE / set_count as u64;
+            if tags.iter().any(|&t| t > max_tag) {
+                return Err(PersistError::Corrupt("cache tag beyond the address space"));
+            }
             Ok(CacheArray {
                 tags,
                 lru,

@@ -85,43 +85,21 @@ pub struct AccessResult {
     pub serviced_by: ServicedBy,
 }
 
-/// Aggregate hierarchy statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HierarchyStats {
-    /// L1D hits.
-    pub l1_hits: u64,
-    /// L1D misses.
-    pub l1_misses: u64,
-    /// Accesses served by an L2 tile.
-    pub l2_hits: u64,
-    /// Accesses served by a peer cache forward.
-    pub peer_forwards: u64,
-    /// Accesses that reached memory.
-    pub mem_accesses: u64,
-    /// Transactions denied by the fault oracle.
-    pub denied: u64,
-}
-
-impl ise_types::persist::Persist for HierarchyStats {
-    fn save(&self, w: &mut ise_types::persist::Writer) {
-        w.u64(self.l1_hits);
-        w.u64(self.l1_misses);
-        w.u64(self.l2_hits);
-        w.u64(self.peer_forwards);
-        w.u64(self.mem_accesses);
-        w.u64(self.denied);
-    }
-    fn restore(
-        r: &mut ise_types::persist::Reader,
-    ) -> Result<Self, ise_types::persist::PersistError> {
-        Ok(HierarchyStats {
-            l1_hits: r.u64()?,
-            l1_misses: r.u64()?,
-            l2_hits: r.u64()?,
-            peer_forwards: r.u64()?,
-            mem_accesses: r.u64()?,
-            denied: r.u64()?,
-        })
+ise_types::counters! {
+    /// Aggregate hierarchy statistics.
+    pub struct HierarchyStats {
+        /// L1D hits.
+        pub l1_hits: u64,
+        /// L1D misses.
+        pub l1_misses: u64,
+        /// Accesses served by an L2 tile.
+        pub l2_hits: u64,
+        /// Accesses served by a peer cache forward.
+        pub peer_forwards: u64,
+        /// Accesses that reached memory.
+        pub accesses: u64,
+        /// Transactions denied by the fault oracle.
+        pub denied: u64,
     }
 }
 
@@ -201,12 +179,9 @@ impl MemoryHierarchy {
     /// every core's TLB, aggregated — into the shared telemetry
     /// registry.
     pub fn export_telemetry(&self, reg: &mut ise_telemetry::Registry) {
-        reg.add("mem.l1_hits", self.stats.l1_hits);
-        reg.add("mem.l1_misses", self.stats.l1_misses);
-        reg.add("mem.l2_hits", self.stats.l2_hits);
-        reg.add("mem.peer_forwards", self.stats.peer_forwards);
-        reg.add("mem.accesses", self.stats.mem_accesses);
-        reg.add("mem.denied", self.stats.denied);
+        for (name, v) in self.stats.fields() {
+            reg.add(&format!("mem.{name}"), v);
+        }
         for tlb in &self.tlbs {
             tlb.export_telemetry(reg);
         }
@@ -364,7 +339,7 @@ impl MemoryHierarchy {
                     is_store: false,
                 };
                 *latency += self.dram.access(&req, now + *latency);
-                self.stats.mem_accesses += 1;
+                self.stats.accesses += 1;
                 self.l2[home.index()].insert(line, false);
                 *latency += self.noc(home, my_tile, DATA_BYTES, now + *latency);
                 (ServicedBy::Memory, None)
@@ -400,7 +375,7 @@ impl MemoryHierarchy {
                 is_store: true,
             };
             *latency += self.dram.access(&req, now + *latency);
-            self.stats.mem_accesses += 1;
+            self.stats.accesses += 1;
             self.l2[home.index()].insert(line, false);
             *latency += self.noc(home, my_tile, DATA_BYTES, now + *latency);
             return (ServicedBy::Memory, None);
@@ -510,7 +485,10 @@ impl MemoryHierarchy {
         w.section(*b"HIER", |w| {
             self.traffic.save(w);
             self.l1d.save(w);
-            self.tlbs.save(w);
+            w.usize(self.tlbs.len());
+            for tlb in &self.tlbs {
+                tlb.save_state(w);
+            }
             self.mshrs.save(w);
             self.l2.save(w);
             self.dir.save(w);
@@ -531,11 +509,15 @@ impl MemoryHierarchy {
         r.section(*b"HIER", |r| {
             let traffic = TrafficMeter::restore(r)?;
             let l1d: Vec<CacheArray> = Persist::restore(r)?;
-            let tlbs: Vec<Tlb> = Persist::restore(r)?;
+            if r.usize()? != self.cfg.cores {
+                return Err(PersistError::Corrupt("hierarchy structure counts"));
+            }
+            for tlb in &mut self.tlbs {
+                tlb.restore_state(r)?;
+            }
             let mshrs: Vec<MshrFile> = Persist::restore(r)?;
             let l2: Vec<CacheArray> = Persist::restore(r)?;
             if l1d.len() != self.cfg.cores
-                || tlbs.len() != self.cfg.cores
                 || mshrs.len() != self.cfg.cores
                 || l2.len() != mesh_nodes(&self.cfg)
             {
@@ -543,10 +525,12 @@ impl MemoryHierarchy {
             }
             self.traffic = traffic;
             self.l1d = l1d;
-            self.tlbs = tlbs;
             self.mshrs = mshrs;
             self.l2 = l2;
             self.dir = Directory::restore(r)?;
+            if !self.dir.sharers_within(self.cfg.cores) {
+                return Err(PersistError::Corrupt("directory sharer beyond core count"));
+            }
             self.dram.restore_state(r)?;
             self.stats = HierarchyStats::restore(r)?;
             Ok(())
@@ -576,7 +560,7 @@ mod tests {
         let r = h.access(Access::load(CoreId(0), Addr::new(0x1_0000)), 0);
         assert_eq!(r.serviced_by, ServicedBy::Memory);
         assert!(r.latency >= 80, "got {}", r.latency);
-        assert_eq!(h.stats().mem_accesses, 1);
+        assert_eq!(h.stats().accesses, 1);
     }
 
     #[test]

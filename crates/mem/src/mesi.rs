@@ -286,6 +286,14 @@ impl Directory {
         }
     }
 
+    /// Whether every sharer set names only cores below `cores` — the
+    /// check a restored directory must pass before it indexes per-core
+    /// structures.
+    pub fn sharers_within(&self, cores: usize) -> bool {
+        let outside = u64::MAX.checked_shl(cores as u32).unwrap_or(0);
+        self.table.sharers.iter().all(|s| s & outside == 0)
+    }
+
     fn key(line: Addr) -> u64 {
         debug_assert_eq!(line, line.line());
         line.raw()
@@ -490,6 +498,10 @@ mod persist_impls {
                     last_key = Some(key);
                     let state = MesiState::restore(r)?;
                     let sharers = r.u64()?;
+                    let owned = matches!(state, MesiState::Modified | MesiState::Exclusive);
+                    if owned && sharers.count_ones() != 1 {
+                        return Err(PersistError::Corrupt("owned line without a single owner"));
+                    }
                     let i = table.find_or_insert(key);
                     table.states[i] = state;
                     table.sharers[i] = sharers;

@@ -1,7 +1,7 @@
 //! Two-level TLB model (Table 2: L1 48 entries, L2 1024 entries).
 
 use ise_engine::Cycle;
-use ise_types::addr::PageId;
+use ise_types::addr::{PageId, PAGE_SIZE};
 use ise_types::config::TlbConfig;
 
 /// Sentinel for "no slot" in the intrusive list links.
@@ -232,14 +232,16 @@ impl TlbLevel {
         });
     }
 
+    /// Restores a level of the configured `capacity`; an image that
+    /// disagrees is rejected before anything is allocated for it.
     fn restore_state(
         r: &mut ise_types::persist::Reader,
+        capacity: usize,
     ) -> Result<Self, ise_types::persist::PersistError> {
         use ise_types::persist::PersistError;
         r.section(*b"TLBL", |r| {
-            let capacity = r.usize()?;
-            if capacity == 0 {
-                return Err(PersistError::Corrupt("zero-capacity TLB level"));
+            if r.usize()? != capacity {
+                return Err(PersistError::Corrupt("TLB level/config capacity skew"));
             }
             let n = r.usize()?;
             if n > capacity {
@@ -247,7 +249,11 @@ impl TlbLevel {
             }
             let mut pages = Vec::with_capacity(n.min(1 << 16));
             for _ in 0..n {
-                pages.push(PageId::new(r.u64()?));
+                let page = r.u64()?;
+                if page > u64::MAX / PAGE_SIZE {
+                    return Err(PersistError::Corrupt("TLB page beyond the address space"));
+                }
+                pages.push(PageId::new(page));
             }
             let mut level = TlbLevel::new(capacity);
             // Insert LRU-first so each insert lands at the list head and
@@ -369,11 +375,12 @@ impl Tlb {
     }
 }
 
-impl ise_types::persist::Persist for Tlb {
-    /// Both levels' LRU orders, the miss/walk counters, and any
-    /// undrained refill-log entries are captured, so a restored TLB hits,
-    /// misses, evicts, and traces exactly like the original.
-    fn save(&self, w: &mut ise_types::persist::Writer) {
+impl Tlb {
+    /// Saves both levels' LRU orders, the miss/walk counters, and any
+    /// undrained refill-log entries, so a restored TLB hits, misses,
+    /// evicts, and traces exactly like the original.
+    pub fn save_state(&self, w: &mut ise_types::persist::Writer) {
+        use ise_types::persist::Persist;
         w.section(*b"TLB0", |w| {
             w.usize(self.cfg.l1_entries);
             w.usize(self.cfg.l2_entries);
@@ -386,9 +393,13 @@ impl ise_types::persist::Persist for Tlb {
             self.refill_log.save(w);
         });
     }
-    fn restore(
+
+    /// Restores [`Tlb::save_state`] in place into a TLB built from the
+    /// same configuration; a different configuration is `Corrupt`.
+    pub fn restore_state(
+        &mut self,
         r: &mut ise_types::persist::Reader,
-    ) -> Result<Self, ise_types::persist::PersistError> {
+    ) -> Result<(), ise_types::persist::PersistError> {
         use ise_types::persist::{Persist, PersistError};
         r.section(*b"TLB0", |r| {
             let cfg = TlbConfig {
@@ -397,19 +408,15 @@ impl ise_types::persist::Persist for Tlb {
                 l2_latency: r.u64()?,
                 walk_latency: r.u64()?,
             };
-            let l1 = TlbLevel::restore_state(r)?;
-            let l2 = TlbLevel::restore_state(r)?;
-            if l1.capacity != cfg.l1_entries || l2.capacity != cfg.l2_entries {
-                return Err(PersistError::Corrupt("TLB level/config capacity skew"));
+            if cfg != self.cfg {
+                return Err(PersistError::Corrupt("TLB configuration mismatch"));
             }
-            Ok(Tlb {
-                l1,
-                l2,
-                cfg,
-                l1_misses: r.u64()?,
-                walks: r.u64()?,
-                refill_log: Persist::restore(r)?,
-            })
+            self.l1 = TlbLevel::restore_state(r, cfg.l1_entries)?;
+            self.l2 = TlbLevel::restore_state(r, cfg.l2_entries)?;
+            self.l1_misses = r.u64()?;
+            self.walks = r.u64()?;
+            self.refill_log = Persist::restore(r)?;
+            Ok(())
         })
     }
 }
@@ -584,7 +591,12 @@ mod tests {
 
     #[test]
     fn persist_round_trip_preserves_lru_order_and_counters() {
-        use ise_types::persist::{restore_container, save_container};
+        use ise_types::persist::{Reader, Writer};
+        let save = |t: &Tlb| {
+            let mut w = Writer::container();
+            t.save_state(&mut w);
+            w.finish()
+        };
         let mut t = tlb();
         t.set_refill_logging(true);
         // Populate both levels with an L1-overflowing working set, leave
@@ -592,9 +604,11 @@ mod tests {
         for i in 0..200 {
             t.access(PageId::new(i % 80));
         }
-        let bytes = save_container(&t);
-        let mut back: Tlb = restore_container(&bytes).unwrap();
-        assert_eq!(save_container(&back), bytes);
+        let bytes = save(&t);
+        let mut back = tlb();
+        back.restore_state(&mut Reader::container(&bytes).unwrap())
+            .unwrap();
+        assert_eq!(save(&back), bytes);
         assert_eq!(back.l1_misses(), t.l1_misses());
         assert_eq!(back.walks(), t.walks());
         assert_eq!(back.l1.resident(), t.l1.resident());

@@ -6,21 +6,21 @@ use ise_engine::Cycle;
 use ise_mem::FlatMemory;
 use ise_types::config::OsCostConfig;
 use ise_types::exception::{ErrorCode, ExceptionKind};
-use ise_types::json::{Json, ToJson};
 use ise_types::{CoreId, FaultingStoreEntry, PageId, SimError};
 use std::collections::HashSet;
 
-/// The Fig. 5 cost decomposition of one handler invocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct OverheadBreakdown {
-    /// Microarchitectural cycles (FSB drain + pipeline flush) — charged
-    /// by the FSBC, folded in here by the caller for reporting.
-    pub uarch: Cycle,
-    /// Cycles spent applying faulting stores (`S_OS`).
-    pub apply: Cycle,
-    /// Everything else the OS does: dispatch, context switch, cause
-    /// resolution.
-    pub other_os: Cycle,
+ise_types::counters! {
+    /// The Fig. 5 cost decomposition of one handler invocation, in cycles.
+    pub struct OverheadBreakdown {
+        /// Microarchitectural cycles (FSB drain + pipeline flush) — charged
+        /// by the FSBC, folded in here by the caller for reporting.
+        pub uarch: u64,
+        /// Cycles spent applying faulting stores (`S_OS`).
+        pub apply: u64,
+        /// Everything else the OS does: dispatch, context switch, cause
+        /// resolution.
+        pub other_os: u64,
+    }
 }
 
 impl OverheadBreakdown {
@@ -43,34 +43,6 @@ impl OverheadBreakdown {
         self.uarch += other.uarch;
         self.apply += other.apply;
         self.other_os += other.other_os;
-    }
-}
-
-impl ToJson for OverheadBreakdown {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("uarch", Json::from(self.uarch)),
-            ("apply", Json::from(self.apply)),
-            ("other_os", Json::from(self.other_os)),
-        ])
-    }
-}
-
-impl ise_types::persist::Persist for OverheadBreakdown {
-    fn save(&self, w: &mut ise_types::persist::Writer) {
-        w.u64(self.uarch);
-        w.u64(self.apply);
-        w.u64(self.other_os);
-    }
-
-    fn restore(
-        r: &mut ise_types::persist::Reader,
-    ) -> Result<Self, ise_types::persist::PersistError> {
-        Ok(OverheadBreakdown {
-            uarch: r.u64()?,
-            apply: r.u64()?,
-            other_os: r.u64()?,
-        })
     }
 }
 
@@ -98,6 +70,54 @@ pub struct HandlerOutcome {
     pub io_cycles: Cycle,
 }
 
+ise_types::counters! {
+    /// The OS kernel's handler counters.
+    pub struct OsCounters {
+        /// Handler invocations so far.
+        pub invocations: u64,
+        /// Stores applied so far (faulting + same-stream companions).
+        pub stores_applied: u64,
+        /// Applied stores that were actually faulting: a nonzero error
+        /// code, or a target page still marked faulting when applied (a
+        /// same-stream companion whose own drain would also have been
+        /// denied).
+        pub faulting_applied: u64,
+        /// Pages resolved so far.
+        pub pages_resolved: u64,
+        /// Processes terminated on irrecoverable exceptions.
+        pub processes_killed: u64,
+        /// Kernel store re-issues that still found the cause present and
+        /// backed off (transient bus errors).
+        pub transient_retries: u64,
+        /// Stores that eventually applied after at least one retry — the
+        /// recovery path working as intended.
+        pub transient_recovered: u64,
+        /// Total backoff cycles charged across all retries (the
+        /// adversary's objective-3 damage metric).
+        pub backoff_cycles: u64,
+        /// Stores whose full retry budget ran dry, regardless of whether
+        /// the kernel then killed the process or (unhardened) dropped the
+        /// store.
+        pub retry_exhausted: u64,
+        /// FSB entries discarded by kill paths: the triggering entry plus
+        /// the drained remainder of each killed episode.
+        pub kill_discarded: u64,
+        /// Stores the *unhardened* kernel silently counted as applied
+        /// after retry exhaustion without ever writing memory. Always zero
+        /// with [`RecoveryHardening::kill_on_retry_exhaustion`] set.
+        /// Deliberately not exported to telemetry — the lie is consistent
+        /// there; only the applied-visibility audit (and tests) sees it.
+        pub silently_dropped: u64,
+        /// Early-drain continuation chunks handled (invocations past the
+        /// first chunk of an episode).
+        pub continuation_invocations: u64,
+        /// Dispatch cycles charged to continuation chunks — the
+        /// adversary's objective-2 stall metric, and the quantity
+        /// [`RecoveryHardening::chunk_continuation`] shrinks 8×.
+        pub continuation_dispatch_cycles: u64,
+    }
+}
+
 /// The OS kernel model.
 #[derive(Debug, Clone)]
 pub struct OsKernel {
@@ -105,19 +125,7 @@ pub struct OsKernel {
     /// When set, each resolved page schedules a demand-paging IO of this
     /// latency; IOs within one invocation overlap (§5.3 batching).
     demand_io: Option<IoScheduler>,
-    invocations: u64,
-    stores_applied: u64,
-    faulting_applied: u64,
-    pages_resolved: u64,
-    processes_killed: u64,
-    transient_retries: u64,
-    transient_recovered: u64,
-    backoff_cycles: u64,
-    retry_exhausted: u64,
-    kill_discarded: u64,
-    silently_dropped: u64,
-    continuation_invocations: u64,
-    continuation_dispatch_cycles: u64,
+    counters: OsCounters,
 }
 
 /// Backoff before retry number `attempt` (1-based): exponential from
@@ -173,19 +181,7 @@ impl OsKernel {
         OsKernel {
             costs,
             demand_io: None,
-            invocations: 0,
-            stores_applied: 0,
-            faulting_applied: 0,
-            pages_resolved: 0,
-            processes_killed: 0,
-            transient_retries: 0,
-            transient_recovered: 0,
-            backoff_cycles: 0,
-            retry_exhausted: 0,
-            kill_discarded: 0,
-            silently_dropped: 0,
-            continuation_invocations: 0,
-            continuation_dispatch_cycles: 0,
+            counters: OsCounters::default(),
         }
     }
 
@@ -208,103 +204,20 @@ impl OsKernel {
         self.demand_io.as_ref().map_or(0, |s| s.ios_issued())
     }
 
-    /// Handler invocations so far.
-    pub fn invocations(&self) -> u64 {
-        self.invocations
-    }
-
-    /// Stores applied so far (faulting + same-stream companions).
-    pub fn stores_applied(&self) -> u64 {
-        self.stores_applied
-    }
-
-    /// Applied stores that were actually faulting: a nonzero error code,
-    /// or a target page still marked faulting when applied (a same-stream
-    /// companion whose own drain would also have been denied).
-    pub fn faulting_applied(&self) -> u64 {
-        self.faulting_applied
-    }
-
-    /// Pages resolved so far.
-    pub fn pages_resolved(&self) -> u64 {
-        self.pages_resolved
-    }
-
-    /// Processes terminated on irrecoverable exceptions.
-    pub fn processes_killed(&self) -> u64 {
-        self.processes_killed
-    }
-
-    /// Kernel store re-issues that still found the cause present and
-    /// backed off (transient bus errors).
-    pub fn transient_retries(&self) -> u64 {
-        self.transient_retries
-    }
-
-    /// Stores that eventually applied after at least one retry — the
-    /// recovery path working as intended.
-    pub fn transient_recovered(&self) -> u64 {
-        self.transient_recovered
-    }
-
-    /// Total backoff cycles charged across all retries (the adversary's
-    /// objective-3 damage metric).
-    pub fn backoff_cycles(&self) -> Cycle {
-        self.backoff_cycles
-    }
-
-    /// Stores whose full retry budget ran dry, regardless of whether the
-    /// kernel then killed the process or (unhardened) dropped the store.
-    pub fn retry_exhausted(&self) -> u64 {
-        self.retry_exhausted
-    }
-
-    /// FSB entries discarded by kill paths: the triggering entry plus the
-    /// drained remainder of each killed episode.
-    pub fn kill_discarded(&self) -> u64 {
-        self.kill_discarded
-    }
-
-    /// Stores the *unhardened* kernel silently counted as applied after
-    /// retry exhaustion without ever writing memory. Always zero with
-    /// [`RecoveryHardening::kill_on_retry_exhaustion`] set. Deliberately
-    /// not exported to telemetry — the lie is consistent there; only the
-    /// applied-visibility audit (and this accessor, for tests) sees it.
-    pub fn silently_dropped(&self) -> u64 {
-        self.silently_dropped
-    }
-
-    /// Early-drain continuation chunks handled (invocations past the
-    /// first chunk of an episode).
-    pub fn continuation_invocations(&self) -> u64 {
-        self.continuation_invocations
-    }
-
-    /// Dispatch cycles charged to continuation chunks — the adversary's
-    /// objective-2 stall metric, and the quantity
-    /// [`RecoveryHardening::chunk_continuation`] shrinks 8×.
-    pub fn continuation_dispatch_cycles(&self) -> Cycle {
-        self.continuation_dispatch_cycles
+    /// The kernel's handler counters so far.
+    pub fn counters(&self) -> &OsCounters {
+        &self.counters
     }
 
     /// Exports the kernel's handler counters into the shared telemetry
     /// registry under the `os.` prefix.
     pub fn export_telemetry(&self, reg: &mut ise_telemetry::Registry) {
-        reg.add("os.invocations", self.invocations);
-        reg.add("os.stores_applied", self.stores_applied);
-        reg.add("os.faulting_applied", self.faulting_applied);
-        reg.add("os.pages_resolved", self.pages_resolved);
-        reg.add("os.processes_killed", self.processes_killed);
-        reg.add("os.transient_retries", self.transient_retries);
-        reg.add("os.transient_recovered", self.transient_recovered);
-        reg.add("os.backoff_cycles", self.backoff_cycles);
-        reg.add("os.retry_exhausted", self.retry_exhausted);
-        reg.add("os.kill_discarded", self.kill_discarded);
-        reg.add("os.continuation_invocations", self.continuation_invocations);
-        reg.add(
-            "os.continuation_dispatch_cycles",
-            self.continuation_dispatch_cycles,
-        );
+        for (name, v) in self.counters.fields() {
+            // The one counter telemetry must not show: see its doc.
+            if name != "silently_dropped" {
+                reg.add(&format!("os.{name}"), v);
+            }
+        }
         reg.add("os.ios_issued", self.ios_issued());
     }
 
@@ -314,24 +227,13 @@ impl OsKernel {
     /// the embedder; the saved IO-presence flag is validated against that
     /// reconstruction on restore.
     pub fn save_state(&self, w: &mut ise_types::persist::Writer) {
+        use ise_types::persist::Persist;
         w.section(*b"OSKN", |w| {
             w.bool(self.demand_io.is_some());
             if let Some(io) = &self.demand_io {
                 io.save_state(w);
             }
-            w.u64(self.invocations);
-            w.u64(self.stores_applied);
-            w.u64(self.faulting_applied);
-            w.u64(self.pages_resolved);
-            w.u64(self.processes_killed);
-            w.u64(self.transient_retries);
-            w.u64(self.transient_recovered);
-            w.u64(self.backoff_cycles);
-            w.u64(self.retry_exhausted);
-            w.u64(self.kill_discarded);
-            w.u64(self.silently_dropped);
-            w.u64(self.continuation_invocations);
-            w.u64(self.continuation_dispatch_cycles);
+            self.counters.save(w);
         });
     }
 
@@ -342,7 +244,7 @@ impl OsKernel {
         &mut self,
         r: &mut ise_types::persist::Reader,
     ) -> Result<(), ise_types::persist::PersistError> {
-        use ise_types::persist::PersistError;
+        use ise_types::persist::{Persist, PersistError};
         r.section(*b"OSKN", |r| {
             let has_io = r.bool()?;
             if has_io != self.demand_io.is_some() {
@@ -351,19 +253,7 @@ impl OsKernel {
             if let Some(io) = self.demand_io.as_mut() {
                 io.restore_state(r)?;
             }
-            self.invocations = r.u64()?;
-            self.stores_applied = r.u64()?;
-            self.faulting_applied = r.u64()?;
-            self.pages_resolved = r.u64()?;
-            self.processes_killed = r.u64()?;
-            self.transient_retries = r.u64()?;
-            self.transient_recovered = r.u64()?;
-            self.backoff_cycles = r.u64()?;
-            self.retry_exhausted = r.u64()?;
-            self.kill_discarded = r.u64()?;
-            self.silently_dropped = r.u64()?;
-            self.continuation_invocations = r.u64()?;
-            self.continuation_dispatch_cycles = r.u64()?;
+            self.counters = OsCounters::restore(r)?;
             Ok(())
         })
     }
@@ -414,15 +304,15 @@ impl OsKernel {
         mut monitor: Option<&mut ContractMonitor>,
         continuation: bool,
     ) -> HandlerOutcome {
-        self.invocations += 1;
+        self.counters.invocations += 1;
         let dispatch = if continuation && self.costs.hardening.chunk_continuation {
             self.costs.dispatch_overhead / 8
         } else {
             self.costs.dispatch_overhead
         };
         if continuation {
-            self.continuation_invocations += 1;
-            self.continuation_dispatch_cycles += dispatch;
+            self.counters.continuation_invocations += 1;
+            self.counters.continuation_dispatch_cycles += dispatch;
         }
         let mut t = now + dispatch;
         let mut breakdown = OverheadBreakdown {
@@ -444,7 +334,7 @@ impl OsKernel {
             {
                 // Irrecoverable: terminate; discard the rest (§5.3).
                 terminated = true;
-                self.processes_killed += 1;
+                self.counters.processes_killed += 1;
                 discarded += 1;
                 while fsb.pop_head().is_some() {
                     discarded += 1;
@@ -459,7 +349,7 @@ impl OsKernel {
             let page = entry.addr.page();
             let was_faulting = entry.error != ErrorCode(0) || resolver.is_faulting(entry.addr);
             if was_faulting {
-                self.faulting_applied += 1;
+                self.counters.faulting_applied += 1;
                 if resolved_pages.insert(page) {
                     resolver.resolve(entry.addr);
                     t += self.costs.resolve_per_page;
@@ -473,7 +363,7 @@ impl OsKernel {
             match self.apply_with_retry(core, &entry, resolver, mem, &mut t, &mut breakdown) {
                 Ok(()) => {
                     applied += 1;
-                    self.stores_applied += 1;
+                    self.counters.stores_applied += 1;
                     if let Some(m) = monitor.as_deref_mut() {
                         m.record(OrderEvent::Sos {
                             core,
@@ -486,7 +376,7 @@ impl OsKernel {
                     // irrecoverable): the store cannot be made visible,
                     // so the process dies rather than lose it silently.
                     terminated = true;
-                    self.processes_killed += 1;
+                    self.counters.processes_killed += 1;
                     discarded += 1;
                     while fsb.pop_head().is_some() {
                         discarded += 1;
@@ -495,8 +385,8 @@ impl OsKernel {
                 }
             }
         }
-        self.kill_discarded += discarded as u64;
-        self.pages_resolved += resolved_pages.len() as u64;
+        self.counters.kill_discarded += discarded as u64;
+        self.counters.pages_resolved += resolved_pages.len() as u64;
         // Demand-paging: one batched IO submission for every resolved
         // page; the program resumes only when the slowest page-in lands.
         let mut io_cycles = 0;
@@ -565,15 +455,15 @@ impl OsKernel {
                     *t += self.costs.apply_per_store;
                     breakdown.apply += self.costs.apply_per_store;
                     if attempts > 0 {
-                        self.transient_recovered += 1;
+                        self.counters.transient_recovered += 1;
                     }
                     return Ok(());
                 }
                 Some(kind) if kind.is_recoverable() => {
                     attempts += 1;
-                    self.transient_retries += 1;
+                    self.counters.transient_retries += 1;
                     if attempts > self.costs.retry_attempts {
-                        self.retry_exhausted += 1;
+                        self.counters.retry_exhausted += 1;
                         if self.costs.hardening.kill_on_retry_exhaustion {
                             return Err(SimError::RetryExhausted {
                                 core,
@@ -585,13 +475,14 @@ impl OsKernel {
                         // memory write, no error — the caller records
                         // S_OS and bumps `stores_applied` as usual, so
                         // every conservation invariant still balances.
-                        self.silently_dropped += 1;
+                        self.counters.silently_dropped += 1;
                         *t += self.costs.apply_per_store;
                         breakdown.apply += self.costs.apply_per_store;
                         return Ok(());
                     }
                     let backoff = retry_backoff(&self.costs, core, entry.addr, attempts);
-                    self.backoff_cycles = self.backoff_cycles.saturating_add(backoff);
+                    self.counters.backoff_cycles =
+                        self.counters.backoff_cycles.saturating_add(backoff);
                     *t = t.saturating_add(backoff);
                     breakdown.other_os = breakdown.other_os.saturating_add(backoff);
                 }
@@ -616,16 +507,16 @@ impl OsKernel {
         resolver: &dyn FaultResolver,
         now: Cycle,
     ) -> HandlerOutcome {
-        self.invocations += 1;
+        self.counters.invocations += 1;
         let mut t = now + self.costs.dispatch_overhead;
         let mut terminated = false;
         if kind.is_recoverable() {
             resolver.resolve(addr);
-            self.pages_resolved += 1;
+            self.counters.pages_resolved += 1;
             t += self.costs.resolve_per_page;
         } else {
             terminated = true;
-            self.processes_killed += 1;
+            self.counters.processes_killed += 1;
         }
         let mut io_cycles = 0;
         if kind.is_recoverable() {
@@ -784,7 +675,7 @@ mod tests {
         assert_eq!(out.applied, 0);
         assert!(fsb.is_empty(), "remaining stores are discarded");
         assert_eq!(mem.read(a), 0, "discarded stores never reach memory");
-        assert_eq!(os.processes_killed(), 1);
+        assert_eq!(os.counters().processes_killed, 1);
     }
 
     #[test]
@@ -806,8 +697,8 @@ mod tests {
         assert!(!out.terminated, "transient faults must not kill");
         assert_eq!(out.applied, 1);
         assert_eq!(mem.read(a), 77);
-        assert_eq!(os.transient_retries(), 2);
-        assert_eq!(os.transient_recovered(), 1);
+        assert_eq!(os.counters().transient_retries, 2);
+        assert_eq!(os.counters().transient_recovered, 1);
         let c = OsCostConfig::isca23();
         // Two backoffs (base then doubled, plus deterministic jitter under
         // the default-hardened config) on top of the usual costs — the
@@ -818,7 +709,7 @@ mod tests {
             out.breakdown.other_os,
             c.dispatch_overhead + c.resolve_per_page + ladder
         );
-        assert_eq!(os.backoff_cycles(), ladder);
+        assert_eq!(os.counters().backoff_cycles, ladder);
         assert!(
             ladder >= c.retry_backoff_base + 2 * c.retry_backoff_base,
             "jitter only ever adds to the exponential floor"
@@ -888,9 +779,9 @@ mod tests {
         fsb.push(faulting_entry(a, 77)).unwrap();
         let out = os.handle_imprecise(CoreId(0), &mut fsb, &inj, &mut mem, 0, None);
         assert!(out.terminated, "hardened kernel still kills on exhaustion");
-        assert_eq!(os.retry_exhausted(), 1);
+        assert_eq!(os.counters().retry_exhausted, 1);
         assert_eq!(
-            os.backoff_cycles(),
+            os.counters().backoff_cycles,
             u64::MAX,
             "accumulated backoff saturates rather than wrapping"
         );
@@ -917,7 +808,7 @@ mod tests {
         // The lie: success reported everywhere...
         assert!(!out.terminated);
         assert_eq!(out.applied, 1);
-        assert_eq!(os.stores_applied(), 1);
+        assert_eq!(os.counters().stores_applied, 1);
         assert!(
             mon.log()
                 .iter()
@@ -926,9 +817,22 @@ mod tests {
         );
         // ...but memory never saw the value.
         assert_eq!(mem.read(a), 0);
-        assert_eq!(os.silently_dropped(), 1);
-        assert_eq!(os.retry_exhausted(), 1);
-        assert_eq!(os.processes_killed(), 0);
+        assert_eq!(os.counters().silently_dropped, 1);
+        assert_eq!(os.counters().retry_exhausted, 1);
+        assert_eq!(os.counters().processes_killed, 0);
+        // The drop is snapshotted like every other counter, but it is the
+        // one counter telemetry never shows.
+        let mut reg = ise_telemetry::Registry::new();
+        os.export_telemetry(&mut reg);
+        assert!(reg.get("os.silently_dropped").is_none());
+        assert_eq!(reg.counter("os.retry_exhausted"), 1);
+        let mut w = ise_types::persist::Writer::container();
+        os.save_state(&mut w);
+        let bytes = w.finish();
+        let mut back = OsKernel::new(c);
+        let mut r = ise_types::persist::Reader::container(&bytes).unwrap();
+        back.restore_state(&mut r).unwrap();
+        assert_eq!(back.counters().silently_dropped, 1);
     }
 
     #[test]
@@ -944,8 +848,11 @@ mod tests {
             c.dispatch_overhead / 8 + c.resolve_per_page,
             "hardened continuation re-enters through the warm path"
         );
-        assert_eq!(os.continuation_invocations(), 1);
-        assert_eq!(os.continuation_dispatch_cycles(), c.dispatch_overhead / 8);
+        assert_eq!(os.counters().continuation_invocations, 1);
+        assert_eq!(
+            os.counters().continuation_dispatch_cycles,
+            c.dispatch_overhead / 8
+        );
         // Unhardened: full dispatch on every chunk.
         let plain = c.with_hardening(ise_types::RecoveryHardening::unhardened());
         let mut os2 = OsKernel::new(plain);
@@ -957,7 +864,10 @@ mod tests {
             out2.breakdown.other_os,
             c.dispatch_overhead + c.resolve_per_page
         );
-        assert_eq!(os2.continuation_dispatch_cycles(), c.dispatch_overhead);
+        assert_eq!(
+            os2.counters().continuation_dispatch_cycles,
+            c.dispatch_overhead
+        );
     }
 
     #[test]
@@ -981,7 +891,7 @@ mod tests {
             out.discarded, 3,
             "the triggering entry plus the drained remainder"
         );
-        assert_eq!(os.kill_discarded(), 3);
+        assert_eq!(os.counters().kill_discarded, 3);
     }
 
     #[test]
@@ -1005,12 +915,12 @@ mod tests {
         assert_eq!(out.applied, 0);
         assert!(fsb.is_empty(), "remaining stores discarded on kill");
         assert_eq!(mem.read(a), 0);
-        assert_eq!(os.processes_killed(), 1);
+        assert_eq!(os.counters().processes_killed, 1);
         assert_eq!(
-            os.transient_retries(),
+            os.counters().transient_retries,
             u64::from(OsCostConfig::isca23().retry_attempts) + 1
         );
-        assert_eq!(os.transient_recovered(), 0);
+        assert_eq!(os.counters().transient_recovered, 0);
     }
 
     #[test]
@@ -1116,9 +1026,7 @@ mod tests {
         let mut w2 = Writer::container();
         back.save_state(&mut w2);
         assert_eq!(w2.finish(), bytes);
-        assert_eq!(back.invocations(), os.invocations());
-        assert_eq!(back.stores_applied(), os.stores_applied());
-        assert_eq!(back.pages_resolved(), os.pages_resolved());
+        assert_eq!(back.counters(), os.counters());
         assert_eq!(back.ios_issued(), os.ios_issued());
         // Telemetry export of the restored kernel is indistinguishable.
         let mut reg_a = ise_telemetry::Registry::new();
@@ -1131,7 +1039,7 @@ mod tests {
         fsb.push(faulting_entry(a.offset(8), 2)).unwrap();
         let out = back.handle_imprecise(CoreId(0), &mut fsb, &einject, &mut mem, 0, None);
         assert_eq!(out.applied, 1);
-        assert_eq!(back.invocations(), 2);
+        assert_eq!(back.counters().invocations, 2);
     }
 
     #[test]
@@ -1158,7 +1066,7 @@ mod tests {
         os.handle_imprecise(CoreId(0), &mut fsb, &einject, &mut mem, 0, None);
         fsb.push(faulting_entry(a.offset(8), 2)).unwrap();
         os.handle_imprecise(CoreId(0), &mut fsb, &einject, &mut mem, 0, None);
-        assert_eq!(os.invocations(), 2);
-        assert_eq!(os.stores_applied(), 2);
+        assert_eq!(os.counters().invocations, 2);
+        assert_eq!(os.counters().stores_applied, 2);
     }
 }

@@ -22,7 +22,7 @@ pub mod kernel;
 pub mod paging;
 pub mod process;
 
-pub use handler::{HandlerOutcome, OsKernel, OverheadBreakdown};
+pub use handler::{HandlerOutcome, OsCounters, OsKernel, OverheadBreakdown};
 pub use kernel::{ContainedKernelCopy, KernelCopyOutcome};
 pub use paging::IoScheduler;
 pub use process::{InterruptControl, Process, ProcessState};

@@ -142,18 +142,18 @@ pub fn containment_violations(sys: &System, stats: &SystemStats) -> Vec<String> 
     //    kill decisions must match killed processes one-to-one (the
     //    idempotent-kill guarantee).
     let per_core: u64 = stats.applied_per_core.iter().sum();
-    let kernel = sys.os_kernel().stores_applied();
+    let kernel = sys.os_kernel().counters().stores_applied;
     if stats.stores_applied != per_core || stats.stores_applied != kernel {
         violations.push(format!(
             "telemetry store counts diverge: stats {} vs per-core {per_core} vs kernel {kernel}",
             stats.stores_applied
         ));
     }
-    if stats.killed != sys.os_kernel().processes_killed() {
+    if stats.killed != sys.os_kernel().counters().processes_killed {
         violations.push(format!(
             "kill accounting diverges: {} processes killed but the kernel recorded {} kills",
             stats.killed,
-            sys.os_kernel().processes_killed()
+            sys.os_kernel().counters().processes_killed
         ));
     }
     violations

@@ -737,6 +737,17 @@ impl System {
             self.applied_per_core = Persist::restore(r)?;
             self.discarded_per_core = Persist::restore(r)?;
             self.early_drain_per_core = Persist::restore(r)?;
+            if [
+                &self.handler_busy_until,
+                &self.applied_per_core,
+                &self.discarded_per_core,
+                &self.early_drain_per_core,
+            ]
+            .iter()
+            .any(|v| v.len() != n)
+            {
+                return Err(PersistError::Corrupt("per-core counter length mismatch"));
+            }
             self.tel.registry = Persist::restore(r)?;
             self.tel.trace = Persist::restore(r)?;
             Ok(())
@@ -970,12 +981,13 @@ impl System {
 
     fn build_stats(&self) -> SystemStats {
         let cores: Vec<CoreStats> = self.cores.iter().map(|c| c.stats()).collect();
+        let os = self.os.counters();
         SystemStats {
             cycles: cores.iter().map(|c| c.cycles).max().unwrap_or(0),
             imprecise_exceptions: cores.iter().map(|c| c.imprecise_exceptions).sum(),
             precise_exceptions: cores.iter().map(|c| c.precise_exceptions).sum(),
-            stores_applied: self.os.stores_applied(),
-            faulting_stores: self.os.faulting_applied(),
+            stores_applied: os.stores_applied,
+            faulting_stores: os.faulting_applied,
             breakdown: self.breakdown,
             denied: self.einject.denied_count(),
             killed: self
@@ -986,9 +998,9 @@ impl System {
             interrupts_delivered: self.interrupts_delivered,
             interrupts_deferred: self.interrupts_deferred,
             io_cycles: self.io_cycles,
-            pages_resolved: self.os.pages_resolved(),
-            transient_retries: self.os.transient_retries(),
-            transient_recovered: self.os.transient_recovered(),
+            pages_resolved: os.pages_resolved,
+            transient_retries: os.transient_retries,
+            transient_recovered: os.transient_recovered,
             early_drain_interrupts: self.early_drain_interrupts,
             fsb_high_water_mark: self
                 .fsbcs

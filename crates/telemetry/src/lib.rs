@@ -18,8 +18,12 @@
 //! `SystemStats`, chaos reports, litmus summaries, and workload stats
 //! all render through a [`Registry`] snapshot; the experiment binaries
 //! share one emission path over the same snapshots (see
-//! `ise-bench::emit_report`). DESIGN.md §11 documents the architecture,
-//! the event taxonomy, and the determinism rules.
+//! `ise-bench::emit_report`). Component counter sets are declared once
+//! with `ise_types::counters!` and exported by iterating their generated
+//! `fields()`, so a counter's registry key, JSON key and snapshot bytes
+//! come from one list (the OS kernel's `silently_dropped` is the one
+//! counter kept out of the registry). DESIGN.md §11 documents the
+//! architecture, the event taxonomy, and the determinism rules.
 
 #![deny(missing_docs)]
 

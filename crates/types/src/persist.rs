@@ -492,9 +492,9 @@ impl<T: Persist> Persist for Vec<T> {
     }
     fn restore(r: &mut Reader) -> Result<Self> {
         let n = r.usize()?;
-        // Cap the pre-allocation: a corrupt length must not OOM before
-        // the per-element reads hit Truncated.
-        let mut out = Vec::with_capacity(n.min(1 << 16));
+        // Cap the pre-allocation at 1 MiB: a corrupt length must not OOM
+        // before the per-element reads hit Truncated.
+        let mut out = Vec::with_capacity(n.min((1 << 20) / std::mem::size_of::<T>().max(1)));
         for _ in 0..n {
             out.push(T::restore(r)?);
         }

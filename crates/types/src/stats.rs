@@ -185,26 +185,89 @@ impl Default for Histogram {
     }
 }
 
-/// Core-level timing statistics produced by one simulation run.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct CoreStats {
-    /// Instructions retired.
-    pub retired: u64,
-    /// Cycles simulated.
-    pub cycles: u64,
-    /// Cycles the retire stage was blocked by a store awaiting completion
-    /// (SC) or a full store buffer (PC/WC).
-    pub store_stall_cycles: u64,
-    /// Cycles stalled on fences/atomics draining the store buffer.
-    pub sync_stall_cycles: u64,
-    /// L1D misses observed.
-    pub l1d_misses: u64,
-    /// Imprecise store exceptions taken.
-    pub imprecise_exceptions: u64,
-    /// Faulting stores drained to the FSB.
-    pub faulting_stores: u64,
-    /// Precise exceptions taken.
-    pub precise_exceptions: u64,
+/// Declares a struct of `u64` counters and derives, from its one field
+/// list, everything that must agree on that list. In declaration order:
+///
+/// * the struct itself, with `Debug, Clone, Copy, PartialEq, Eq, Default`;
+/// * `fields() -> [(&'static str, u64); N]`, the `(name, value)` pairs a
+///   telemetry export iterates;
+/// * [`ToJson`](crate::json::ToJson): one object, keyed by field name;
+/// * [`Persist`](crate::persist::Persist): one little-endian `u64` per
+///   field, no tag or length.
+///
+/// A counter added to the list is therefore rendered, snapshotted and
+/// exported together, or not at all.
+#[macro_export]
+macro_rules! counters {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident {
+            $(
+                $(#[$fmeta:meta])*
+                $fvis:vis $field:ident: u64
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        $vis struct $name {
+            $(
+                $(#[$fmeta])*
+                $fvis $field: u64,
+            )*
+        }
+
+        impl $name {
+            /// Every counter as `(name, value)`, in declaration order —
+            /// the order of its JSON keys and snapshot bytes.
+            pub fn fields(&self) -> [(&'static str, u64); [$(stringify!($field)),*].len()] {
+                [$((stringify!($field), self.$field)),*]
+            }
+        }
+
+        impl $crate::json::ToJson for $name {
+            fn to_json(&self) -> $crate::json::Json {
+                $crate::json::Json::obj(
+                    self.fields()
+                        .map(|(k, v)| (k, $crate::json::Json::from(v))),
+                )
+            }
+        }
+
+        impl $crate::persist::Persist for $name {
+            fn save(&self, w: &mut $crate::persist::Writer) {
+                for (_, v) in self.fields() {
+                    w.u64(v);
+                }
+            }
+            fn restore(r: &mut $crate::persist::Reader) -> $crate::persist::Result<Self> {
+                Ok($name { $($field: r.u64()?,)* })
+            }
+        }
+    };
+}
+
+crate::counters! {
+    /// Core-level timing statistics produced by one simulation run.
+    pub struct CoreStats {
+        /// Instructions retired.
+        pub retired: u64,
+        /// Cycles simulated.
+        pub cycles: u64,
+        /// Cycles the retire stage was blocked by a store awaiting completion
+        /// (SC) or a full store buffer (PC/WC).
+        pub store_stall_cycles: u64,
+        /// Cycles stalled on fences/atomics draining the store buffer.
+        pub sync_stall_cycles: u64,
+        /// L1D misses observed.
+        pub l1d_misses: u64,
+        /// Imprecise store exceptions taken.
+        pub imprecise_exceptions: u64,
+        /// Faulting stores drained to the FSB.
+        pub faulting_stores: u64,
+        /// Precise exceptions taken.
+        pub precise_exceptions: u64,
+    }
 }
 
 impl CoreStats {
@@ -215,36 +278,6 @@ impl CoreStats {
         } else {
             self.retired as f64 / self.cycles as f64
         }
-    }
-
-    /// Merges per-core stats into an aggregate.
-    pub fn merge(&mut self, other: &CoreStats) {
-        self.retired += other.retired;
-        self.cycles = self.cycles.max(other.cycles);
-        self.store_stall_cycles += other.store_stall_cycles;
-        self.sync_stall_cycles += other.sync_stall_cycles;
-        self.l1d_misses += other.l1d_misses;
-        self.imprecise_exceptions += other.imprecise_exceptions;
-        self.faulting_stores += other.faulting_stores;
-        self.precise_exceptions += other.precise_exceptions;
-    }
-}
-
-impl ToJson for CoreStats {
-    fn to_json(&self) -> Json {
-        Json::obj([
-            ("retired", Json::from(self.retired)),
-            ("cycles", Json::from(self.cycles)),
-            ("store_stall_cycles", Json::from(self.store_stall_cycles)),
-            ("sync_stall_cycles", Json::from(self.sync_stall_cycles)),
-            ("l1d_misses", Json::from(self.l1d_misses)),
-            (
-                "imprecise_exceptions",
-                Json::from(self.imprecise_exceptions),
-            ),
-            ("faulting_stores", Json::from(self.faulting_stores)),
-            ("precise_exceptions", Json::from(self.precise_exceptions)),
-        ])
     }
 }
 
@@ -279,31 +312,6 @@ mod persist_impls {
                 return Err(PersistError::Corrupt("empty histogram"));
             }
             Ok(Histogram { buckets })
-        }
-    }
-
-    impl Persist for CoreStats {
-        fn save(&self, w: &mut Writer) {
-            w.u64(self.retired);
-            w.u64(self.cycles);
-            w.u64(self.store_stall_cycles);
-            w.u64(self.sync_stall_cycles);
-            w.u64(self.l1d_misses);
-            w.u64(self.imprecise_exceptions);
-            w.u64(self.faulting_stores);
-            w.u64(self.precise_exceptions);
-        }
-        fn restore(r: &mut Reader) -> Result<Self, PersistError> {
-            Ok(CoreStats {
-                retired: r.u64()?,
-                cycles: r.u64()?,
-                store_stall_cycles: r.u64()?,
-                sync_stall_cycles: r.u64()?,
-                l1d_misses: r.u64()?,
-                imprecise_exceptions: r.u64()?,
-                faulting_stores: r.u64()?,
-                precise_exceptions: r.u64()?,
-            })
         }
     }
 }
@@ -425,20 +433,47 @@ mod tests {
         );
     }
 
+    crate::counters! {
+        /// A three-counter set for pinning the macro's contract.
+        struct Trio {
+            zeta: u64,
+            alpha: u64,
+            mid: u64,
+        }
+    }
+
     #[test]
-    fn core_stats_merge_takes_max_cycles() {
-        let mut a = CoreStats {
-            retired: 10,
-            cycles: 100,
-            ..Default::default()
+    fn counters_share_one_order_across_fields_json_and_bytes() {
+        use crate::persist::{Persist, Reader, Writer};
+        let t = Trio {
+            zeta: 1,
+            alpha: 0x0203,
+            mid: u64::MAX,
         };
-        let b = CoreStats {
-            retired: 20,
-            cycles: 80,
-            ..Default::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.retired, 30);
-        assert_eq!(a.cycles, 100);
+        // Declaration order, not alphabetical, everywhere.
+        assert_eq!(
+            t.fields(),
+            [("zeta", 1), ("alpha", 0x0203), ("mid", u64::MAX)]
+        );
+        assert_eq!(
+            t.to_json().render(),
+            r#"{"zeta":1,"alpha":515,"mid":18446744073709551615}"#
+        );
+        let mut w = Writer::new();
+        t.save(&mut w);
+        let bytes = w.into_bytes();
+        #[rustfmt::skip]
+        assert_eq!(
+            bytes,
+            [
+                1, 0, 0, 0, 0, 0, 0, 0,
+                3, 2, 0, 0, 0, 0, 0, 0,
+                0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+            ]
+        );
+        let mut r = Reader::new(&bytes);
+        assert_eq!(Trio::restore(&mut r).unwrap(), t);
+        assert_eq!(r.remaining(), 0);
+        assert!(Trio::restore(&mut Reader::new(&bytes[..23])).is_err());
     }
 }

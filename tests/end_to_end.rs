@@ -105,7 +105,7 @@ fn segfault_terminates_the_process_and_discards_stores() {
     assert!(out.terminated);
     assert_eq!(mem.read(Addr::new(EINJECT_BASE)), 0);
     assert_eq!(mem.read(Addr::new(EINJECT_BASE + 8)), 0);
-    assert_eq!(os.processes_killed(), 1);
+    assert_eq!(os.counters().processes_killed, 1);
 }
 
 #[test]
