@@ -51,7 +51,7 @@ fn main() {
     let report = run_campaign(&cfg);
     println!("{}", report.to_registry().render());
     if let Some(dir) = out_dir {
-        let paths = write_regressions(&report, &dir).expect("writing reproducers");
+        let paths = write_regressions(&report.findings, &dir).expect("writing reproducers");
         for p in &paths {
             eprintln!("wrote {}", p.display());
         }

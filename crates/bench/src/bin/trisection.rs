@@ -21,7 +21,7 @@
 //! fixed seed, and the seeded-bug legs assert the exit code is 1.
 
 use ise_consistency::MappingBug;
-use ise_fuzz::{run_trisection, write_src_regressions, TrisectConfig};
+use ise_fuzz::{run_trisection, write_regressions, TrisectConfig};
 
 fn main() {
     let mut cfg = TrisectConfig {
@@ -61,7 +61,7 @@ fn main() {
     let report = run_trisection(&cfg);
     println!("{}", report.to_registry().render());
     if let Some(dir) = out_dir {
-        let paths = write_src_regressions(&report, &dir).expect("writing reproducers");
+        let paths = write_regressions(&report.findings, &dir).expect("writing reproducers");
         for p in &paths {
             eprintln!("wrote {}", p.display());
         }

@@ -229,7 +229,9 @@ impl<'a> Candidate<'a> {
     }
 }
 
-fn acyclic(n: usize, edges: &[(usize, usize)]) -> bool {
+/// Whether the graph of `edges` over `n` nodes has no cycle (a self-loop
+/// counts as one).
+pub(crate) fn acyclic(n: usize, edges: &[(usize, usize)]) -> bool {
     let mut adj = vec![Vec::new(); n];
     for &(a, b) in edges {
         if a != b {
@@ -357,7 +359,8 @@ fn ppo(evs: &[Ev], model: ConsistencyModel) -> Vec<(usize, usize)> {
     edges
 }
 
-fn permutations(items: &[usize]) -> Vec<Vec<usize>> {
+/// Every ordering of `items`.
+pub(crate) fn permutations(items: &[usize]) -> Vec<Vec<usize>> {
     if items.is_empty() {
         return vec![vec![]];
     }
@@ -517,15 +520,6 @@ pub fn allowed_outcomes(prog: &LitmusProgram, model: ConsistencyModel) -> BTreeS
         }
     }
     outcomes
-}
-
-/// Whether `outcome` is allowed for `prog` under `model`.
-pub fn is_outcome_allowed(
-    prog: &LitmusProgram,
-    model: ConsistencyModel,
-    outcome: &Outcome,
-) -> bool {
-    allowed_outcomes(prog, model).contains(outcome)
 }
 
 #[cfg(test)]

@@ -45,5 +45,5 @@ pub use batch::{BatchChecker, SrcBatchChecker};
 pub use lowering::{
     buggy_table, correct_table, lower, render_mapping_table, MappingBug, MappingTable,
 };
-pub use program::{LitmusProgram, Loc, Outcome, Stmt, StmtOp};
+pub use program::{LitmusProgram, Loc, Outcome, Program, Statement, Stmt, StmtOp};
 pub use source::{allowed_src_outcomes, MemOrder, SrcOp, SrcProgram, SrcStmt};

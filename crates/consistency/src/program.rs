@@ -117,6 +117,60 @@ impl Stmt {
     }
 }
 
+/// What dialect-neutral code (the litmus text skeleton, the fuzz
+/// shrinker) needs from a statement of either program form: [`Stmt`]
+/// here, [`SrcStmt`](crate::source::SrcStmt) at the source level.
+pub trait Statement: Copy {
+    /// The register this statement is dependency-ordered after, if any.
+    fn dep(&self) -> Option<Reg>;
+    /// This statement with its dependency set to `dep`.
+    fn with_dep(self, dep: Option<Reg>) -> Self;
+    /// The register this statement produces, if any.
+    fn produced(&self) -> Option<Reg>;
+    /// The location this statement accesses (`None` for a fence).
+    fn loc(&self) -> Option<Loc>;
+}
+
+impl Statement for Stmt {
+    fn dep(&self) -> Option<Reg> {
+        self.dep
+    }
+
+    fn with_dep(mut self, dep: Option<Reg>) -> Self {
+        self.dep = dep;
+        self
+    }
+
+    fn produced(&self) -> Option<Reg> {
+        match self.op {
+            StmtOp::Read { dst, .. } | StmtOp::Amo { dst, .. } => Some(dst),
+            _ => None,
+        }
+    }
+
+    fn loc(&self) -> Option<Loc> {
+        match self.op {
+            StmtOp::Write { loc, .. } | StmtOp::Read { loc, .. } | StmtOp::Amo { loc, .. } => {
+                Some(loc)
+            }
+            StmtOp::Fence(_) => None,
+        }
+    }
+}
+
+/// The first statement of one thread (its index and register) whose
+/// dependency names a register no earlier statement produced.
+pub fn dangling_dep<S: Statement>(stmts: &[S]) -> Option<(usize, Reg)> {
+    let mut produced = Vec::new();
+    for (i, s) in stmts.iter().enumerate() {
+        if let Some(r) = s.dep().filter(|r| !produced.contains(r)) {
+            return Some((i, r));
+        }
+        produced.extend(s.produced());
+    }
+    None
+}
+
 impl fmt::Display for Stmt {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self.op {
@@ -132,12 +186,17 @@ impl fmt::Display for Stmt {
     }
 }
 
-/// A multi-threaded litmus program. Memory is zero-initialized.
+/// A multi-threaded program over statements of type `S`; memory is
+/// zero-initialized. [`LitmusProgram`] is the hardware form and
+/// [`SrcProgram`](crate::source::SrcProgram) the source form.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct LitmusProgram {
+pub struct Program<S> {
     /// One statement list per thread.
-    pub threads: Vec<Vec<Stmt>>,
+    pub threads: Vec<Vec<S>>,
 }
+
+/// A multi-threaded litmus program. Memory is zero-initialized.
+pub type LitmusProgram = Program<Stmt>;
 
 impl LitmusProgram {
     /// Builds a program from per-thread statement lists.
@@ -149,36 +208,18 @@ impl LitmusProgram {
     pub fn new(threads: Vec<Vec<Stmt>>) -> Self {
         assert!(!threads.is_empty(), "program needs at least one thread");
         for (t, stmts) in threads.iter().enumerate() {
-            let mut produced: Vec<Reg> = Vec::new();
-            for (i, s) in stmts.iter().enumerate() {
-                if let Some(r) = s.dep {
-                    assert!(
-                        produced.contains(&r),
-                        "thread {t} stmt {i}: dependency on {r} not produced earlier"
-                    );
-                }
-                match s.op {
-                    StmtOp::Read { dst, .. } | StmtOp::Amo { dst, .. } => produced.push(dst),
-                    _ => {}
-                }
+            if let Some((i, r)) = dangling_dep(stmts) {
+                panic!("thread {t} stmt {i}: dependency on {r} not produced earlier");
             }
         }
         LitmusProgram { threads }
     }
+}
 
+impl<S: Statement> Program<S> {
     /// All locations the program touches, ascending.
     pub fn locations(&self) -> Vec<Loc> {
-        let mut locs: Vec<Loc> = self
-            .threads
-            .iter()
-            .flatten()
-            .filter_map(|s| match s.op {
-                StmtOp::Write { loc, .. } | StmtOp::Read { loc, .. } | StmtOp::Amo { loc, .. } => {
-                    Some(loc)
-                }
-                StmtOp::Fence(_) => None,
-            })
-            .collect();
+        let mut locs: Vec<Loc> = self.threads.iter().flatten().filter_map(S::loc).collect();
         locs.sort_unstable();
         locs.dedup();
         locs

@@ -37,7 +37,8 @@
 //! enough to catch a release store lowered without its fence or an
 //! acquire load lowered as relaxed.
 
-use crate::program::{Loc, Outcome};
+use crate::axiom::{acyclic, permutations};
+use crate::program::{dangling_dep, Loc, Outcome, Program, Statement};
 use ise_types::instr::Reg;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
@@ -162,12 +163,29 @@ impl SrcStmt {
         self.dep = Some(r);
         self
     }
+}
 
-    /// The register this statement produces, if any.
-    pub fn produced(&self) -> Option<Reg> {
+impl Statement for SrcStmt {
+    fn dep(&self) -> Option<Reg> {
+        self.dep
+    }
+
+    fn with_dep(mut self, dep: Option<Reg>) -> Self {
+        self.dep = dep;
+        self
+    }
+
+    fn produced(&self) -> Option<Reg> {
         match self.op {
             SrcOp::Load { dst, .. } => Some(dst),
             _ => None,
+        }
+    }
+
+    fn loc(&self) -> Option<Loc> {
+        match self.op {
+            SrcOp::Store { loc, .. } | SrcOp::Load { loc, .. } => Some(loc),
+            SrcOp::Fence { .. } => None,
         }
     }
 }
@@ -187,11 +205,7 @@ impl fmt::Display for SrcStmt {
 }
 
 /// A multi-threaded source program. Memory is zero-initialized.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct SrcProgram {
-    /// One statement list per thread.
-    pub threads: Vec<Vec<SrcStmt>>,
-}
+pub type SrcProgram = Program<SrcStmt>;
 
 impl SrcProgram {
     /// Builds a program from per-thread statement lists.
@@ -205,7 +219,6 @@ impl SrcProgram {
     pub fn new(threads: Vec<Vec<SrcStmt>>) -> Self {
         assert!(!threads.is_empty(), "program needs at least one thread");
         for (t, stmts) in threads.iter().enumerate() {
-            let mut produced: Vec<Reg> = Vec::new();
             for (i, s) in stmts.iter().enumerate() {
                 match s.op {
                     SrcOp::Store { order, .. } => assert!(
@@ -227,44 +240,12 @@ impl SrcProgram {
                         );
                     }
                 }
-                if let Some(r) = s.dep {
-                    assert!(
-                        produced.contains(&r),
-                        "thread {t} stmt {i}: dependency on {r} not produced earlier"
-                    );
-                }
-                if let Some(dst) = s.produced() {
-                    produced.push(dst);
-                }
+            }
+            if let Some((i, r)) = dangling_dep(stmts) {
+                panic!("thread {t} stmt {i}: dependency on {r} not produced earlier");
             }
         }
         SrcProgram { threads }
-    }
-
-    /// All locations the program touches, ascending.
-    pub fn locations(&self) -> Vec<Loc> {
-        let mut locs: Vec<Loc> = self
-            .threads
-            .iter()
-            .flatten()
-            .filter_map(|s| match s.op {
-                SrcOp::Store { loc, .. } | SrcOp::Load { loc, .. } => Some(loc),
-                SrcOp::Fence { .. } => None,
-            })
-            .collect();
-        locs.sort_unstable();
-        locs.dedup();
-        locs
-    }
-
-    /// Total statements across threads.
-    pub fn len(&self) -> usize {
-        self.threads.iter().map(Vec::len).sum()
-    }
-
-    /// Whether the program has no statements.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -341,59 +322,6 @@ fn closure(n: usize, edges: &[(usize, usize)]) -> Vec<Vec<bool>> {
         }
     }
     reach
-}
-
-fn permutations(items: &[usize]) -> Vec<Vec<usize>> {
-    if items.is_empty() {
-        return vec![vec![]];
-    }
-    let mut out = Vec::new();
-    for (i, &x) in items.iter().enumerate() {
-        let mut rest = items.to_vec();
-        rest.remove(i);
-        for mut p in permutations(&rest) {
-            p.insert(0, x);
-            out.push(p);
-        }
-    }
-    out
-}
-
-fn acyclic(n: usize, edges: &[(usize, usize)]) -> bool {
-    let mut adj = vec![Vec::new(); n];
-    for &(a, b) in edges {
-        if a != b {
-            adj[a].push(b);
-        } else {
-            return false;
-        }
-    }
-    let mut color = vec![0u8; n];
-    for start in 0..n {
-        if color[start] != 0 {
-            continue;
-        }
-        let mut stack = vec![(start, 0usize)];
-        color[start] = 1;
-        while let Some(&mut (node, ref mut next)) = stack.last_mut() {
-            if *next < adj[node].len() {
-                let child = adj[node][*next];
-                *next += 1;
-                match color[child] {
-                    0 => {
-                        color[child] = 1;
-                        stack.push((child, 0));
-                    }
-                    1 => return false,
-                    _ => {}
-                }
-            } else {
-                color[node] = 2;
-                stack.pop();
-            }
-        }
-    }
-    true
 }
 
 /// `sb`: sequenced-before pairs (all same-thread index-ordered pairs,
@@ -673,11 +601,6 @@ fn psc_acyclic(
         }
     }
     acyclic(n, &edges)
-}
-
-/// Whether `outcome` is allowed for `prog` by the language axioms.
-pub fn is_src_outcome_allowed(prog: &SrcProgram, outcome: &Outcome) -> bool {
-    allowed_src_outcomes(prog).contains(outcome)
 }
 
 #[cfg(test)]

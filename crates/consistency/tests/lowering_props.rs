@@ -12,7 +12,7 @@
 //! * the lowered program still validates (no dangling dependencies, no
 //!   empty thread lists).
 
-use ise_consistency::program::{Loc, StmtOp};
+use ise_consistency::program::{Loc, Statement, StmtOp};
 use ise_consistency::source::{MemOrder, SrcOp, SrcProgram, SrcStmt};
 use ise_consistency::{buggy_table, correct_table, lower, MappingBug, MappingTable};
 use ise_types::instr::Reg;

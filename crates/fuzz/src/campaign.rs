@@ -7,16 +7,22 @@
 //! and `ISE_WORKERS=8`. Findings are shrunk on the worker that found
 //! them and surface as minimal reproducers, renderable into the litmus
 //! text dialect for the regression corpus under `litmus/regressions/`.
+//!
+//! The finding pipeline is shared with the trisection campaign and the
+//! adversary's corruption shrinker: [`file_findings`] checks a case,
+//! files one report per finding kind, shrinks it and re-derives its
+//! detail from the reproducer; [`write_regressions`] is the one writer.
 
 use crate::gen::{generate, FuzzCase, GenConfig};
 use crate::oracle::{check_case, Finding, FindingKind, OracleConfig};
-use crate::shrink::{shrink, ShrinkResult};
-use ise_consistency::program::Outcome;
+use crate::shrink::{shrink_while, unit_value, Dialect, Pass};
+use ise_consistency::program::{Loc, Outcome, Program, Stmt};
 use ise_consistency::BatchChecker;
 use ise_litmus::{render_litmus, Family, LitmusTest, ParsedLitmus};
 use ise_telemetry::Registry;
 use ise_types::json::Json;
 use ise_types::model::{ConsistencyModel, DrainPolicy};
+use std::path::{Path, PathBuf};
 
 /// Campaign shape.
 #[derive(Debug, Clone, Copy)]
@@ -54,24 +60,137 @@ pub fn case_seed(master: u64, index: usize) -> u64 {
     z ^ (z >> 31)
 }
 
-/// One reported (and possibly shrunk) finding.
+/// One reported (and possibly shrunk) finding of either dialect
+/// ([`TrisectFinding`](crate::trisect::TrisectFinding) is the
+/// source-level one).
 #[derive(Debug, Clone)]
-pub struct CampaignFinding {
+pub struct CampaignFinding<C: Dialect = FuzzCase> {
     /// Campaign index of the case that found it.
     pub index: usize,
-    /// The case's seed (regenerate with [`generate`]).
+    /// The case's seed (regenerate with the dialect's generator,
+    /// [`generate`] or [`generate_src`](crate::src_gen::generate_src)).
     pub seed: u64,
     /// Which oracle pair disagreed.
-    pub kind: FindingKind,
+    pub kind: C::Kind,
     /// Explanation, re-derived from the shrunk case.
     pub detail: String,
     /// The minimal reproducer.
-    pub case: FuzzCase,
-    /// Forbidden-but-observed outcomes of the shrunk case (axiom
-    /// findings only) — these become `forbid:` lines.
+    pub case: C,
+    /// Forbidden-but-observed outcomes of the shrunk case (axiom and
+    /// escape findings only) — these become `forbid:` lines.
     pub outcomes: Vec<Outcome>,
     /// Accepted shrink steps (0 when shrinking is off).
     pub steps: usize,
+}
+
+/// Files one finding of `kind` on `case`: shrunk while `kind` still
+/// reproduces (when `shrink` is set), with its detail and outcomes
+/// re-derived from the reproducer itself.
+pub fn file_finding<C: Dialect>(
+    index: usize,
+    seed: u64,
+    case: &C,
+    kind: C::Kind,
+    shrink: bool,
+    check: &mut impl FnMut(&C) -> Vec<Finding<C::Kind>>,
+) -> CampaignFinding<C> {
+    let (case, steps) = if shrink {
+        let shrunk = shrink_while(case, |c| check(c).iter().any(|f| f.kind == kind));
+        (shrunk.case, shrunk.steps)
+    } else {
+        (case.clone(), 0)
+    };
+    let (detail, outcomes) = check(&case)
+        .into_iter()
+        .find(|f| f.kind == kind)
+        .map(|f| (f.detail, f.outcomes))
+        .unwrap_or_default();
+    CampaignFinding {
+        index,
+        seed,
+        kind,
+        detail,
+        case,
+        outcomes,
+        steps,
+    }
+}
+
+/// Checks `case` and files one finding per kind it reports: a single
+/// root cause often fires several outcomes at once, and shrinking
+/// converges per kind.
+pub fn file_findings<C: Dialect>(
+    index: usize,
+    seed: u64,
+    case: &C,
+    shrink: bool,
+    mut check: impl FnMut(&C) -> Vec<Finding<C::Kind>>,
+) -> Vec<CampaignFinding<C>> {
+    let mut kinds: Vec<C::Kind> = check(case).iter().map(|f| f.kind).collect();
+    kinds.sort_unstable();
+    kinds.dedup();
+    kinds
+        .into_iter()
+        .map(|kind| file_finding(index, seed, case, kind, shrink, &mut check))
+        .collect()
+}
+
+/// Adds the finding tail of a campaign registry: the total, one counter
+/// per kind in `kinds` (pre-seeded to zero so the key set — and the
+/// rendered bytes — never depend on what was found), the clean flag, and
+/// the findings themselves as structured leaves.
+pub(crate) fn add_findings<C: Dialect>(
+    reg: &mut Registry,
+    findings: &[CampaignFinding<C>],
+    kinds: &[C::Kind],
+) {
+    reg.add("findings", findings.len() as u64);
+    for &kind in kinds {
+        reg.add(
+            &format!("finding.{}", C::kind_name(kind)),
+            findings.iter().filter(|f| f.kind == kind).count() as u64,
+        );
+    }
+    reg.put("clean", Json::from(findings.is_empty()));
+    reg.put(
+        "reproducers",
+        Json::arr(findings.iter().map(|f| {
+            Json::obj([
+                ("index", Json::from(f.index)),
+                ("seed", Json::from(f.seed)),
+                ("kind", Json::str(C::kind_name(f.kind))),
+                ("detail", Json::str(f.detail.clone())),
+                ("steps", Json::from(f.steps)),
+                (C::EXT, Json::str(C::render(f))),
+            ])
+        })),
+    );
+}
+
+/// Writes each finding's reproducer into `dir` (created if missing) as
+/// `<kind>-seed<seed>.<ext>`, returning the paths written.
+///
+/// # Errors
+///
+/// Propagates filesystem errors.
+pub fn write_regressions<C: Dialect>(
+    findings: &[CampaignFinding<C>],
+    dir: &Path,
+) -> std::io::Result<Vec<PathBuf>> {
+    std::fs::create_dir_all(dir)?;
+    findings
+        .iter()
+        .map(|f| {
+            let path = dir.join(format!(
+                "{}-seed{}.{}",
+                C::kind_name(f.kind),
+                f.seed,
+                C::EXT
+            ));
+            std::fs::write(&path, C::render(f))?;
+            Ok(path)
+        })
+        .collect()
 }
 
 #[derive(Clone)]
@@ -132,27 +251,7 @@ impl FuzzReport {
         reg.add("faulting_cases", self.faulting_cases);
         reg.add("overlay_cases", self.overlay_cases);
         reg.add("axiom_enumerations", self.axiom_enumerations);
-        reg.add("findings", self.findings.len() as u64);
-        for kind in FindingKind::ALL {
-            reg.add(
-                &format!("finding.{}", kind.name()),
-                self.findings.iter().filter(|f| f.kind == kind).count() as u64,
-            );
-        }
-        reg.put("clean", Json::from(self.clean()));
-        reg.put(
-            "reproducers",
-            Json::arr(self.findings.iter().map(|f| {
-                Json::obj([
-                    ("index", Json::from(f.index)),
-                    ("seed", Json::from(f.seed)),
-                    ("kind", Json::str(f.kind.name())),
-                    ("detail", Json::str(f.detail.clone())),
-                    ("steps", Json::from(f.steps)),
-                    ("litmus", Json::str(render_litmus(&to_parsed(f)))),
-                ])
-            })),
-        );
+        add_findings(&mut reg, &self.findings, &FindingKind::ALL);
         reg
     }
 }
@@ -193,62 +292,30 @@ pub fn to_parsed(f: &CampaignFinding) -> ParsedLitmus {
     }
 }
 
-/// Writes each finding's reproducer into `dir` (created if missing) as
-/// `<kind>-seed<seed>.litmus`, returning the paths written.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn write_regressions(
-    report: &FuzzReport,
-    dir: &std::path::Path,
-) -> std::io::Result<Vec<std::path::PathBuf>> {
-    std::fs::create_dir_all(dir)?;
-    let mut paths = Vec::new();
-    for f in &report.findings {
-        let path = dir.join(format!("{}-seed{}.litmus", f.kind.name(), f.seed));
-        std::fs::write(&path, render_litmus(&to_parsed(f)))?;
-        paths.push(path);
+impl Dialect for FuzzCase {
+    type Stmt = Stmt;
+    type Kind = FindingKind;
+    const PASSES: &'static [Pass<Stmt>] = &[unit_value];
+    const EXT: &'static str = "litmus";
+
+    fn parts(&mut self) -> (&mut Program<Stmt>, &mut Vec<Loc>, &mut bool) {
+        (&mut self.program, &mut self.faulting, &mut self.overlay)
     }
-    Ok(paths)
+
+    fn kind_name(kind: FindingKind) -> &'static str {
+        kind.name()
+    }
+
+    fn render(finding: &CampaignFinding) -> String {
+        render_litmus(&to_parsed(finding))
+    }
 }
 
 fn run_cell(cfg: &FuzzConfig, index: usize, seed: u64, case: &FuzzCase) -> Cell {
     let mut batch = BatchChecker::new();
-    let raw = check_case(case, &cfg.oracle, &mut batch);
-    // One report per kind: shrinking converges per finding kind, and a
-    // single root cause often fires several outcomes at once.
-    let mut kinds: Vec<FindingKind> = raw.iter().map(|f| f.kind).collect();
-    kinds.sort_unstable();
-    kinds.dedup();
-    let mut findings = Vec::new();
-    for kind in kinds {
-        let (shrunk, steps) = if cfg.shrink {
-            let ShrinkResult { case: c, steps, .. } = shrink(case, kind, &cfg.oracle, &mut batch);
-            (c, steps)
-        } else {
-            (case.clone(), 0)
-        };
-        // Re-derive detail and outcomes from the reproducer itself.
-        let fresh: Vec<Finding> = check_case(&shrunk, &cfg.oracle, &mut batch)
-            .into_iter()
-            .filter(|f| f.kind == kind)
-            .collect();
-        let (detail, outcomes) = fresh
-            .into_iter()
-            .next()
-            .map(|f| (f.detail, f.outcomes))
-            .unwrap_or_default();
-        findings.push(CampaignFinding {
-            index,
-            seed,
-            kind,
-            detail,
-            case: shrunk,
-            outcomes,
-            steps,
-        });
-    }
+    let findings = file_findings(index, seed, case, cfg.shrink, |c| {
+        check_case(c, &cfg.oracle, &mut batch)
+    });
     Cell {
         model: case.model,
         policy: case.policy,

@@ -14,7 +14,7 @@
 //! still covering every statement kind, every Table 6 family shape, and
 //! multi-location interactions.
 
-use ise_consistency::program::{LitmusProgram, Loc, Stmt};
+use ise_consistency::program::{LitmusProgram, Loc, Statement, Stmt};
 use ise_engine::SimRng;
 use ise_types::instr::{FenceKind, Reg};
 use ise_types::model::{ConsistencyModel, DrainPolicy};
@@ -169,21 +169,6 @@ pub fn generate(seed: u64, cfg: &GenConfig) -> FuzzCase {
         policy,
         faulting,
         overlay,
-    }
-}
-
-/// Helper: the register a statement produces, if any.
-trait Produces {
-    fn produced(&self) -> Option<Reg>;
-}
-
-impl Produces for Stmt {
-    fn produced(&self) -> Option<Reg> {
-        match self.op {
-            ise_consistency::program::StmtOp::Read { dst, .. }
-            | ise_consistency::program::StmtOp::Amo { dst, .. } => Some(dst),
-            _ => None,
-        }
     }
 }
 

@@ -39,15 +39,15 @@ pub mod src_gen;
 pub mod trisect;
 
 pub use campaign::{
-    case_seed, run_campaign, run_campaign_with_workers, to_parsed, write_regressions,
+    case_seed, file_finding, run_campaign, run_campaign_with_workers, to_parsed, write_regressions,
     CampaignFinding, FuzzConfig, FuzzReport,
 };
 pub use gen::{generate, FuzzCase, GenConfig};
 pub use oracle::{check_case, Finding, FindingKind, OracleConfig};
-pub use shrink::{shrink, ShrinkResult};
+pub use shrink::{shrink, Dialect, ShrinkResult};
 pub use src_gen::{generate_src, SrcGenConfig, TrisectCase};
 pub use trisect::{
     check_src_case, run_trisection, run_trisection_with_workers, shrink_src, to_src_parsed,
-    write_src_regressions, SrcFinding, SrcShrinkResult, TrisectConfig, TrisectFinding,
-    TrisectFindingKind, TrisectOracleConfig, TrisectReport,
+    SrcFinding, SrcShrinkResult, TrisectConfig, TrisectFinding, TrisectFindingKind,
+    TrisectOracleConfig, TrisectReport,
 };

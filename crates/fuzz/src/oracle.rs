@@ -31,10 +31,12 @@
 //! always contains the initial zero.
 
 use crate::gen::FuzzCase;
-use ise_consistency::program::Outcome;
+use ise_consistency::program::{LitmusProgram, Loc, Outcome};
 use ise_consistency::BatchChecker;
 use ise_litmus::machine::{explore, ExplorationResult, MachineConfig, SeededBug};
-use ise_types::model::DrainPolicy;
+use ise_sim::{run_litmus_case, FaultOverlay, LitmusRun};
+use ise_types::config::OsCostConfig;
+use ise_types::model::{ConsistencyModel, DrainPolicy};
 
 /// Which oracle pair disagreed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -78,16 +80,30 @@ impl FindingKind {
     }
 }
 
-/// One oracle disagreement on one case.
+/// One oracle disagreement on one case, of either dialect's finding
+/// kinds ([`SrcFinding`](crate::trisect::SrcFinding) is the trisection
+/// one).
 #[derive(Debug, Clone)]
-pub struct Finding {
+pub struct Finding<K = FindingKind> {
     /// Which check failed.
-    pub kind: FindingKind,
+    pub kind: K,
     /// Human-readable explanation.
     pub detail: String,
-    /// For [`FindingKind::AxiomViolation`]: the observed-but-forbidden
-    /// outcomes (these become `forbid:` lines in rendered reproducers).
+    /// For [`FindingKind::AxiomViolation`] and the trisection escapes:
+    /// the observed-but-forbidden outcomes (these become `forbid:` lines
+    /// in rendered reproducers).
     pub outcomes: Vec<Outcome>,
+}
+
+impl<K> Finding<K> {
+    /// A finding without outcomes.
+    pub(crate) fn new(kind: K, detail: String) -> Self {
+        Finding {
+            kind,
+            detail,
+            outcomes: Vec::new(),
+        }
+    }
 }
 
 /// How the oracles run.
@@ -171,17 +187,16 @@ pub fn check_case(
     if memo_check_feasible(case) {
         let bare = explore(&case.program, &machine_config(case, oracle, false));
         if !results_equal(&machine, &bare) {
-            findings.push(Finding {
-                kind: FindingKind::MemoMismatch,
-                detail: format!(
+            findings.push(Finding::new(
+                FindingKind::MemoMismatch,
+                format!(
                     "memoized ({} outcomes, {} states) vs bare ({} outcomes, {} states)",
                     machine.outcomes.len(),
                     machine.states,
                     bare.outcomes.len(),
                     bare.states,
                 ),
-                outcomes: Vec::new(),
-            });
+            ));
         }
     }
 
@@ -205,53 +220,23 @@ pub fn check_case(
     // Oracle 3: the timing simulator — same-stream only (the assembled
     // system implements the paper's design, not the ablation).
     if oracle.run_sim && case.policy == DrainPolicy::SameStream {
-        let overlay = case.overlay.then_some(ise_sim::FaultOverlay {
+        let overlay = case.overlay.then_some(FaultOverlay {
             seed: case.seed,
             clears_after: oracle.overlay_clears_after,
         });
-        let slow = ise_sim::run_litmus_case(
+        let sim = sim_leg(
             &case.program,
             &case.faulting,
             case.model,
-            false,
             overlay,
             oracle.os_costs,
+            [FindingKind::ClockDivergence, FindingKind::SimInvariant],
+            &mut findings,
         );
-        let fast = ise_sim::run_litmus_case(
-            &case.program,
-            &case.faulting,
-            case.model,
-            true,
-            overlay,
-            oracle.os_costs,
-        );
-        if slow.stats_json != fast.stats_json {
-            findings.push(Finding {
-                kind: FindingKind::ClockDivergence,
-                detail: "naive and cycle-skipping clocks disagree on the stats registry"
-                    .to_string(),
-                outcomes: Vec::new(),
-            });
-        }
-        for run in [&slow, &fast] {
-            if !run.violations.is_empty() || run.any_killed {
-                findings.push(Finding {
-                    kind: FindingKind::SimInvariant,
-                    detail: if run.any_killed {
-                        "a process was killed on a recoverable workload".to_string()
-                    } else {
-                        run.violations.join("; ")
-                    },
-                    outcomes: Vec::new(),
-                });
-                break;
-            }
-        }
         // The machine planes only apply when the sim saw the same fault
         // environment the machine modeled (EInject pages, not the
         // transient overlay).
         if !case.overlay {
-            let sim = &fast;
             let mut plane = Vec::new();
             if case.faulting.is_empty()
                 && (sim.stats.imprecise_exceptions > 0 || sim.stats.precise_exceptions > 0)
@@ -274,29 +259,61 @@ pub fn check_case(
                 ));
             }
             for detail in plane {
-                findings.push(Finding {
-                    kind: FindingKind::SimExceptionPlane,
-                    detail,
-                    outcomes: Vec::new(),
-                });
+                findings.push(Finding::new(FindingKind::SimExceptionPlane, detail));
             }
             for (i, loc) in case.program.locations().into_iter().enumerate() {
                 if !machine.mem_values[i].contains(&sim.mem[i]) {
-                    findings.push(Finding {
-                        kind: FindingKind::SimValuePlane,
-                        detail: format!(
+                    findings.push(Finding::new(
+                        FindingKind::SimValuePlane,
+                        format!(
                             "location {loc} ended at {} — not reachable on any machine path \
                              (envelope {:?})",
                             sim.mem[i], machine.mem_values[i],
                         ),
-                        outcomes: Vec::new(),
-                    });
+                    ));
                 }
             }
         }
     }
 
     findings
+}
+
+/// The timing-simulator leg both dialects run: `program` once per clock
+/// mode. A stats-registry mismatch files `clock`; the first run with a
+/// failed post-run invariant or a killed process files `invariant`.
+/// Returns the cycle-skipping run for the planes that compare it further.
+pub(crate) fn sim_leg<K>(
+    program: &LitmusProgram,
+    faulting: &[Loc],
+    model: ConsistencyModel,
+    overlay: Option<FaultOverlay>,
+    os_costs: Option<OsCostConfig>,
+    [clock, invariant]: [K; 2],
+    findings: &mut Vec<Finding<K>>,
+) -> LitmusRun {
+    let [slow, fast] = [false, true]
+        .map(|skip| run_litmus_case(program, faulting, model, skip, overlay, os_costs));
+    if slow.stats_json != fast.stats_json {
+        findings.push(Finding::new(
+            clock,
+            "naive and cycle-skipping clocks disagree on the stats registry".to_string(),
+        ));
+    }
+    if let Some(run) = [&slow, &fast]
+        .into_iter()
+        .find(|run| !run.violations.is_empty() || run.any_killed)
+    {
+        findings.push(Finding::new(
+            invariant,
+            if run.any_killed {
+                "a process was killed on a recoverable workload".to_string()
+            } else {
+                run.violations.join("; ")
+            },
+        ));
+    }
+    fast
 }
 
 #[cfg(test)]

@@ -10,7 +10,9 @@
 //! 1. remove a whole thread;
 //! 2. remove one statement;
 //! 3. drop a dependency annotation;
-//! 4. rewrite a stored value / AMO addend to 1;
+//! 4. the dialect's own statement passes ([`Dialect::PASSES`]): here,
+//!    rewrite a stored value / AMO addend to 1; at the source level,
+//!    weaken a memory order, then rewrite a stored value to 1;
 //! 5. un-fault one location;
 //! 6. turn the transient overlay off.
 //!
@@ -21,21 +23,54 @@
 //! nothing faults. Progress is monotone (every accepted step strictly
 //! shrinks a finite measure), and a global attempt bound caps the cost
 //! of re-running the oracles.
+//!
+//! One loop ([`shrink_while`]) serves both dialects: hardware fuzz cases
+//! and trisection source cases differ only in what [`Dialect`] says.
 
+use crate::campaign::CampaignFinding;
 use crate::gen::FuzzCase;
 use crate::oracle::{check_case, FindingKind, OracleConfig};
-use ise_consistency::program::{LitmusProgram, Stmt, StmtOp};
+use ise_consistency::program::{Loc, Program, Statement, Stmt, StmtOp};
 use ise_consistency::BatchChecker;
-use ise_types::instr::Reg;
+use std::fmt::Debug;
 
 /// Upper bound on oracle re-runs during one shrink.
 const MAX_ATTEMPTS: usize = 10_000;
 
+/// One per-statement simplification: a simpler statement, or `None`
+/// when the pass does not apply.
+pub type Pass<S> = fn(&S) -> Option<S>;
+
+/// A fuzz case as the shared shrinker, finding pipeline and reproducer
+/// writer see it. [`FuzzCase`] and
+/// [`TrisectCase`](crate::src_gen::TrisectCase) implement it; they differ
+/// in statement type, extra shrink passes, finding kinds and reproducer
+/// format.
+pub trait Dialect: Clone {
+    /// The program's statement type.
+    type Stmt: Statement + 'static;
+    /// The dialect's finding kinds.
+    type Kind: Copy + Ord + Debug;
+    /// Per-statement simplifications tried after dropping dependencies,
+    /// one pass over every statement each, in order.
+    const PASSES: &'static [Pass<Self::Stmt>];
+    /// Reproducer file extension, also the registry key of a rendered
+    /// reproducer.
+    const EXT: &'static str;
+    /// The program, the faulting locations and the transient-overlay
+    /// flag.
+    fn parts(&mut self) -> (&mut Program<Self::Stmt>, &mut Vec<Loc>, &mut bool);
+    /// The stable name of a finding kind (telemetry key, file name).
+    fn kind_name(kind: Self::Kind) -> &'static str;
+    /// Renders a finding as reproducer text.
+    fn render(finding: &CampaignFinding<Self>) -> String;
+}
+
 /// A shrunk reproducer.
 #[derive(Debug, Clone)]
-pub struct ShrinkResult {
+pub struct ShrinkResult<C = FuzzCase> {
     /// The minimal case that still reproduces the finding kind.
-    pub case: FuzzCase,
+    pub case: C,
     /// Accepted simplification steps.
     pub steps: usize,
     /// Oracle re-runs spent.
@@ -44,41 +79,43 @@ pub struct ShrinkResult {
 
 /// Drops orphaned dependencies, faulting entries for untouched
 /// locations, and the overlay flag of a fault-free case.
-fn normalize(mut case: FuzzCase) -> FuzzCase {
-    for thread in &mut case.program.threads {
-        let mut produced: Vec<Reg> = Vec::new();
+fn normalize<C: Dialect>(mut case: C) -> C {
+    let (program, faulting, overlay) = case.parts();
+    for thread in &mut program.threads {
+        let mut produced = Vec::new();
         for stmt in thread.iter_mut() {
-            if let Some(r) = stmt.dep {
-                if !produced.contains(&r) {
-                    stmt.dep = None;
-                }
+            if stmt.dep().is_some_and(|r| !produced.contains(&r)) {
+                *stmt = stmt.with_dep(None);
             }
-            match stmt.op {
-                StmtOp::Read { dst, .. } | StmtOp::Amo { dst, .. } => produced.push(dst),
-                _ => {}
-            }
+            produced.extend(stmt.produced());
         }
     }
-    let locs = case.program.locations();
-    case.faulting.retain(|l| locs.contains(l));
-    if case.faulting.is_empty() {
-        case.overlay = false;
+    let locs = program.locations();
+    faulting.retain(|l| locs.contains(l));
+    if faulting.is_empty() {
+        *overlay = false;
     }
     case
 }
 
+/// A copy of `case` with `f` applied.
+fn edited<C: Clone>(case: &C, f: impl FnOnce(&mut C)) -> C {
+    let mut c = case.clone();
+    f(&mut c);
+    c
+}
+
 /// Every one-step simplification of `case`, most aggressive first.
-fn candidates(case: &FuzzCase) -> Vec<FuzzCase> {
+fn candidates<C: Dialect>(case: &C) -> Vec<C> {
+    let mut base = case.clone();
+    let (program, faulting, overlay) = base.parts();
+    let threads = &program.threads;
     let mut out = Vec::new();
-    let threads = &case.program.threads;
     if threads.len() > 1 {
         for t in 0..threads.len() {
-            let mut next = threads.clone();
-            next.remove(t);
-            out.push(FuzzCase {
-                program: LitmusProgram { threads: next },
-                ..case.clone()
-            });
+            out.push(edited(case, |c| {
+                c.parts().0.threads.remove(t);
+            }));
         }
     }
     for t in 0..threads.len() {
@@ -86,95 +123,48 @@ fn candidates(case: &FuzzCase) -> Vec<FuzzCase> {
             continue; // a program needs at least one statement
         }
         for i in 0..threads[t].len() {
-            let mut next = threads.clone();
-            next[t].remove(i);
-            if next[t].is_empty() {
-                next.remove(t);
-            }
-            out.push(FuzzCase {
-                program: LitmusProgram { threads: next },
-                ..case.clone()
-            });
-        }
-    }
-    for t in 0..threads.len() {
-        for i in 0..threads[t].len() {
-            if threads[t][i].dep.is_some() {
-                let mut next = threads.clone();
-                next[t][i].dep = None;
-                out.push(FuzzCase {
-                    program: LitmusProgram { threads: next },
-                    ..case.clone()
-                });
-            }
-        }
-    }
-    for t in 0..threads.len() {
-        for i in 0..threads[t].len() {
-            let simpler = match threads[t][i].op {
-                StmtOp::Write { loc, value } if value != 1 => {
-                    Some(Stmt::write(loc, 1).dep(threads[t][i].dep))
+            out.push(edited(case, |c| {
+                let threads = &mut c.parts().0.threads;
+                threads[t].remove(i);
+                if threads[t].is_empty() {
+                    threads.remove(t);
                 }
-                StmtOp::Amo { loc, add, dst } if add != 1 => {
-                    Some(Stmt::amo(loc, 1, dst).dep(threads[t][i].dep))
+            }));
+        }
+    }
+    let drop_dep: Pass<C::Stmt> = |s| s.dep().map(|_| s.with_dep(None));
+    for pass in std::iter::once(&drop_dep).chain(C::PASSES) {
+        for (t, thread) in threads.iter().enumerate() {
+            for (i, stmt) in thread.iter().enumerate() {
+                if let Some(simpler) = pass(stmt) {
+                    out.push(edited(case, |c| c.parts().0.threads[t][i] = simpler));
                 }
-                _ => None,
-            };
-            if let Some(s) = simpler {
-                let mut next = threads.clone();
-                next[t][i] = s;
-                out.push(FuzzCase {
-                    program: LitmusProgram { threads: next },
-                    ..case.clone()
-                });
             }
         }
     }
-    for f in 0..case.faulting.len() {
-        let mut next = case.faulting.clone();
-        next.remove(f);
-        out.push(FuzzCase {
-            faulting: next,
-            ..case.clone()
-        });
+    for f in 0..faulting.len() {
+        out.push(edited(case, |c| {
+            c.parts().1.remove(f);
+        }));
     }
-    if case.overlay {
-        out.push(FuzzCase {
-            overlay: false,
-            ..case.clone()
-        });
+    if *overlay {
+        out.push(edited(case, |c| *c.parts().2 = false));
     }
     out.into_iter().map(normalize).collect()
 }
 
-trait WithDep {
-    fn dep(self, dep: Option<Reg>) -> Self;
-}
-
-impl WithDep for Stmt {
-    fn dep(mut self, dep: Option<Reg>) -> Self {
-        self.dep = dep;
-        self
-    }
-}
-
-/// Shrinks `case` while `kind` still reproduces under `oracle`.
+/// Shrinks `case` while `reproduces` holds.
 ///
 /// Greedy with restarts: the first accepted candidate restarts the scan
 /// from the top (thread removal), so late cheap passes never block
 /// early aggressive ones.
-pub fn shrink(
-    case: &FuzzCase,
-    kind: FindingKind,
-    oracle: &OracleConfig,
-    batch: &mut BatchChecker,
-) -> ShrinkResult {
-    let reproduces = |c: &FuzzCase, batch: &mut BatchChecker| {
-        check_case(c, oracle, batch).iter().any(|f| f.kind == kind)
-    };
+pub fn shrink_while<C: Dialect>(
+    case: &C,
+    mut reproduces: impl FnMut(&C) -> bool,
+) -> ShrinkResult<C> {
     let mut current = normalize(case.clone());
     debug_assert!(
-        reproduces(&current, batch),
+        reproduces(&current),
         "finding must reproduce before shrinking"
     );
     let mut steps = 0;
@@ -185,7 +175,7 @@ pub fn shrink(
                 break 'outer;
             }
             attempts += 1;
-            if reproduces(&cand, batch) {
+            if reproduces(&cand) {
                 current = cand;
                 steps += 1;
                 continue 'outer;
@@ -200,11 +190,35 @@ pub fn shrink(
     }
 }
 
+/// Shrinks `case` while `kind` still reproduces under `oracle`.
+pub fn shrink(
+    case: &FuzzCase,
+    kind: FindingKind,
+    oracle: &OracleConfig,
+    batch: &mut BatchChecker,
+) -> ShrinkResult {
+    shrink_while(case, |c| {
+        check_case(c, oracle, batch).iter().any(|f| f.kind == kind)
+    })
+}
+
+/// Rewrites a stored value or AMO addend to 1 — the hardware dialect's
+/// one statement pass.
+pub(crate) fn unit_value(s: &Stmt) -> Option<Stmt> {
+    match s.op {
+        StmtOp::Write { loc, value } if value != 1 => Some(Stmt::write(loc, 1).with_dep(s.dep)),
+        StmtOp::Amo { loc, add, dst } if add != 1 => Some(Stmt::amo(loc, 1, dst).with_dep(s.dep)),
+        _ => None,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gen::{generate, GenConfig};
+    use ise_consistency::program::LitmusProgram;
     use ise_litmus::machine::SeededBug;
+    use ise_types::instr::Reg;
 
     #[test]
     fn normalize_clears_orphans() {

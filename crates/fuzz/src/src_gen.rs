@@ -15,7 +15,7 @@
 //! often enough that message-passing shapes — the witness for both
 //! seeded table mutations — arise within a few dozen seeds.
 
-use ise_consistency::program::Loc;
+use ise_consistency::program::{Loc, Statement};
 use ise_consistency::source::{MemOrder, SrcProgram, SrcStmt};
 use ise_engine::SimRng;
 use ise_types::instr::Reg;

@@ -23,23 +23,25 @@
 //!    post-run invariants must hold, exactly as in the differential
 //!    campaign ([`oracle`](crate::oracle)).
 //!
-//! Findings shrink ([`shrink_src`]) with the same greedy-with-restart
-//! delta debugging as hardware findings, plus a source-only pass:
-//! weakening a memory order (`seq_cst → release/acquire`,
-//! `release/acquire → relaxed`) — so a reproducer keeps only the
-//! annotations the bug actually needs.
+//! Findings go through the same pipeline as hardware findings
+//! ([`file_findings`]): the one greedy-with-restart shrinker
+//! ([`shrink_while`]), plus a source-only pass that weakens a memory
+//! order (`seq_cst → release/acquire`, `release/acquire → relaxed`) —
+//! so a reproducer keeps only the annotations the bug actually needs.
 
+use crate::campaign::{add_findings, file_findings, CampaignFinding};
+use crate::oracle::{sim_leg, Finding};
+use crate::shrink::{shrink_while, Dialect, Pass, ShrinkResult};
 use crate::src_gen::{generate_src, SrcGenConfig, TrisectCase};
-use ise_consistency::program::Outcome;
-use ise_consistency::source::{MemOrder, SrcOp, SrcProgram, SrcStmt};
+use ise_consistency::program::{Loc, Outcome, Program};
+use ise_consistency::source::{MemOrder, SrcOp, SrcStmt};
 use ise_consistency::{
     buggy_table, correct_table, lower, BatchChecker, MappingBug, MappingTable, SrcBatchChecker,
 };
 use ise_litmus::machine::{explore, MachineConfig};
 use ise_litmus::src_parse::{render_src_litmus, ParsedSrcLitmus};
+use ise_sim::FaultOverlay;
 use ise_telemetry::Registry;
-use ise_types::instr::Reg;
-use ise_types::json::Json;
 use ise_types::model::{ConsistencyModel, DrainPolicy};
 
 #[allow(unused_imports)] // doc links
@@ -81,17 +83,10 @@ impl TrisectFindingKind {
     }
 }
 
-/// One trisection disagreement on one case.
-#[derive(Debug, Clone)]
-pub struct SrcFinding {
-    /// Which leg failed.
-    pub kind: TrisectFindingKind,
-    /// Human-readable explanation.
-    pub detail: String,
-    /// Language-forbidden outcomes the lowered program exhibits (escape
-    /// kinds only) — these become `forbid:` lines in reproducers.
-    pub outcomes: Vec<Outcome>,
-}
+/// One trisection disagreement on one case; `outcomes` holds the
+/// language-forbidden outcomes the lowered program exhibits (escape
+/// kinds only).
+pub type SrcFinding = Finding<TrisectFindingKind>;
 
 /// How the trisection oracles run.
 #[derive(Debug, Clone, Copy, Default)]
@@ -174,36 +169,22 @@ pub fn check_src_case(
 
     // Leg 3: the timing simulator on the lowered program.
     if oracle.run_sim {
-        let overlay = case.overlay.then_some(ise_sim::FaultOverlay {
+        let overlay = case.overlay.then_some(FaultOverlay {
             seed: case.seed,
             clears_after: 1,
         });
-        let slow =
-            ise_sim::run_litmus_case(&lowered, &case.faulting, case.model, false, overlay, None);
-        let fast =
-            ise_sim::run_litmus_case(&lowered, &case.faulting, case.model, true, overlay, None);
-        if slow.stats_json != fast.stats_json {
-            findings.push(SrcFinding {
-                kind: TrisectFindingKind::ClockDivergence,
-                detail: "naive and cycle-skipping clocks disagree on the stats registry"
-                    .to_string(),
-                outcomes: Vec::new(),
-            });
-        }
-        for run in [&slow, &fast] {
-            if !run.violations.is_empty() || run.any_killed {
-                findings.push(SrcFinding {
-                    kind: TrisectFindingKind::SimInvariant,
-                    detail: if run.any_killed {
-                        "a process was killed on a recoverable workload".to_string()
-                    } else {
-                        run.violations.join("; ")
-                    },
-                    outcomes: Vec::new(),
-                });
-                break;
-            }
-        }
+        sim_leg(
+            &lowered,
+            &case.faulting,
+            case.model,
+            overlay,
+            None,
+            [
+                TrisectFindingKind::ClockDivergence,
+                TrisectFindingKind::SimInvariant,
+            ],
+            &mut findings,
+        );
     }
 
     findings
@@ -213,180 +194,58 @@ pub fn check_src_case(
 // Shrinking.
 // ---------------------------------------------------------------------
 
-/// Upper bound on oracle re-runs during one shrink.
-const MAX_ATTEMPTS: usize = 10_000;
-
 /// A shrunk trisection reproducer.
-#[derive(Debug, Clone)]
-pub struct SrcShrinkResult {
-    /// The minimal case that still reproduces the finding kind.
-    pub case: TrisectCase,
-    /// Accepted simplification steps.
-    pub steps: usize,
-    /// Oracle re-runs spent.
-    pub attempts: usize,
-}
+pub type SrcShrinkResult = ShrinkResult<TrisectCase>;
 
-/// Drops orphaned dependencies, faulting entries for untouched
-/// locations, and the overlay flag of a fault-free case.
-fn normalize(mut case: TrisectCase) -> TrisectCase {
-    for thread in &mut case.program.threads {
-        let mut produced: Vec<Reg> = Vec::new();
-        for stmt in thread.iter_mut() {
-            if let Some(r) = stmt.dep {
-                if !produced.contains(&r) {
-                    stmt.dep = None;
-                }
-            }
-            if let Some(dst) = stmt.produced() {
-                produced.push(dst);
-            }
-        }
-    }
-    let locs = case.program.locations();
-    case.faulting.retain(|l| locs.contains(l));
-    if case.faulting.is_empty() {
-        case.overlay = false;
-    }
-    case
-}
-
-/// One order-weakening step, or `None` if the statement is already at
-/// its weakest legal order.
+/// One order-weakening step (`seq_cst → release/acquire`,
+/// `release/acquire → relaxed`), or `None` if the statement is already
+/// at its weakest legal order. An acquire/release fence is already the
+/// weakest fence; its removal is the remove-statement pass's job.
 fn weakened(s: &SrcStmt) -> Option<SrcStmt> {
-    let next = |op| SrcStmt { op, dep: s.dep };
-    match s.op {
-        SrcOp::Store { loc, value, order } => match order {
-            MemOrder::SeqCst => Some(next(SrcOp::Store {
-                loc,
-                value,
-                order: MemOrder::Release,
-            })),
-            MemOrder::Release => Some(next(SrcOp::Store {
-                loc,
-                value,
-                order: MemOrder::Relaxed,
-            })),
-            _ => None,
-        },
-        SrcOp::Load { loc, dst, order } => match order {
-            MemOrder::SeqCst => Some(next(SrcOp::Load {
-                loc,
-                dst,
-                order: MemOrder::Acquire,
-            })),
-            MemOrder::Acquire => Some(next(SrcOp::Load {
-                loc,
-                dst,
-                order: MemOrder::Relaxed,
-            })),
-            _ => None,
-        },
-        // An acquire/release fence is already the weakest fence; its
-        // removal is the remove-statement pass's job.
-        SrcOp::Fence { order } => match order {
-            MemOrder::SeqCst => Some(next(SrcOp::Fence {
-                order: MemOrder::Release,
-            })),
-            _ => None,
-        },
-    }
+    let mut weaker = *s;
+    let (SrcOp::Store { order, .. } | SrcOp::Load { order, .. } | SrcOp::Fence { order }) =
+        &mut weaker.op;
+    *order = match (s.op, *order) {
+        (SrcOp::Load { .. }, MemOrder::SeqCst) => MemOrder::Acquire,
+        (_, MemOrder::SeqCst) => MemOrder::Release,
+        (SrcOp::Store { .. }, MemOrder::Release) | (SrcOp::Load { .. }, MemOrder::Acquire) => {
+            MemOrder::Relaxed
+        }
+        _ => return None,
+    };
+    Some(weaker)
 }
 
-/// Every one-step simplification of `case`, most aggressive first.
-fn candidates(case: &TrisectCase) -> Vec<TrisectCase> {
-    let mut out = Vec::new();
-    let threads = &case.program.threads;
-    if threads.len() > 1 {
-        for t in 0..threads.len() {
-            let mut next = threads.clone();
-            next.remove(t);
-            out.push(TrisectCase {
-                program: SrcProgram { threads: next },
-                ..case.clone()
-            });
-        }
+/// Rewrites a stored value to 1.
+fn unit_value(s: &SrcStmt) -> Option<SrcStmt> {
+    let mut simpler = *s;
+    match &mut simpler.op {
+        SrcOp::Store { value, .. } if *value != 1 => *value = 1,
+        _ => return None,
     }
-    for t in 0..threads.len() {
-        if threads[t].len() <= 1 && threads.len() == 1 {
-            continue; // a program needs at least one statement
-        }
-        for i in 0..threads[t].len() {
-            let mut next = threads.clone();
-            next[t].remove(i);
-            if next[t].is_empty() {
-                next.remove(t);
-            }
-            out.push(TrisectCase {
-                program: SrcProgram { threads: next },
-                ..case.clone()
-            });
-        }
+    Some(simpler)
+}
+
+impl Dialect for TrisectCase {
+    type Stmt = SrcStmt;
+    type Kind = TrisectFindingKind;
+    const PASSES: &'static [Pass<SrcStmt>] = &[weakened, unit_value];
+    const EXT: &'static str = "srclitmus";
+
+    fn parts(&mut self) -> (&mut Program<SrcStmt>, &mut Vec<Loc>, &mut bool) {
+        (&mut self.program, &mut self.faulting, &mut self.overlay)
     }
-    for t in 0..threads.len() {
-        for i in 0..threads[t].len() {
-            if threads[t][i].dep.is_some() {
-                let mut next = threads.clone();
-                next[t][i].dep = None;
-                out.push(TrisectCase {
-                    program: SrcProgram { threads: next },
-                    ..case.clone()
-                });
-            }
-        }
+
+    fn kind_name(kind: TrisectFindingKind) -> &'static str {
+        kind.name()
     }
-    for t in 0..threads.len() {
-        for i in 0..threads[t].len() {
-            if let Some(weaker) = weakened(&threads[t][i]) {
-                let mut next = threads.clone();
-                next[t][i] = weaker;
-                out.push(TrisectCase {
-                    program: SrcProgram { threads: next },
-                    ..case.clone()
-                });
-            }
-        }
+
+    fn render(finding: &TrisectFinding) -> String {
+        render_src_litmus(&to_src_parsed(finding))
     }
-    for t in 0..threads.len() {
-        for i in 0..threads[t].len() {
-            if let SrcOp::Store { loc, value, order } = threads[t][i].op {
-                if value != 1 {
-                    let mut next = threads.clone();
-                    next[t][i].op = SrcOp::Store {
-                        loc,
-                        value: 1,
-                        order,
-                    };
-                    out.push(TrisectCase {
-                        program: SrcProgram { threads: next },
-                        ..case.clone()
-                    });
-                }
-            }
-        }
-    }
-    for f in 0..case.faulting.len() {
-        let mut next = case.faulting.clone();
-        next.remove(f);
-        out.push(TrisectCase {
-            faulting: next,
-            ..case.clone()
-        });
-    }
-    if case.overlay {
-        out.push(TrisectCase {
-            overlay: false,
-            ..case.clone()
-        });
-    }
-    out.into_iter().map(normalize).collect()
 }
 
 /// Shrinks `case` while `kind` still reproduces under `oracle`.
-///
-/// Greedy with restarts, like [`shrink`](crate::shrink::shrink): the
-/// first accepted candidate restarts the scan from the most aggressive
-/// pass (thread removal).
 pub fn shrink_src(
     case: &TrisectCase,
     kind: TrisectFindingKind,
@@ -394,37 +253,11 @@ pub fn shrink_src(
     hw: &mut BatchChecker,
     lang: &mut SrcBatchChecker,
 ) -> SrcShrinkResult {
-    let reproduces = |c: &TrisectCase, hw: &mut BatchChecker, lang: &mut SrcBatchChecker| {
+    shrink_while(case, |c| {
         check_src_case(c, oracle, hw, lang)
             .iter()
             .any(|f| f.kind == kind)
-    };
-    let mut current = normalize(case.clone());
-    debug_assert!(
-        reproduces(&current, hw, lang),
-        "finding must reproduce before shrinking"
-    );
-    let mut steps = 0;
-    let mut attempts = 0;
-    'outer: loop {
-        for cand in candidates(&current) {
-            if attempts >= MAX_ATTEMPTS {
-                break 'outer;
-            }
-            attempts += 1;
-            if reproduces(&cand, hw, lang) {
-                current = cand;
-                steps += 1;
-                continue 'outer;
-            }
-        }
-        break;
-    }
-    SrcShrinkResult {
-        case: current,
-        steps,
-        attempts,
-    }
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -459,25 +292,10 @@ impl Default for TrisectConfig {
     }
 }
 
-/// One reported (and possibly shrunk) trisection finding.
-#[derive(Debug, Clone)]
-pub struct TrisectFinding {
-    /// Campaign index of the case that found it.
-    pub index: usize,
-    /// The case's seed (regenerate with [`generate_src`]).
-    pub seed: u64,
-    /// Which leg failed.
-    pub kind: TrisectFindingKind,
-    /// Explanation, re-derived from the shrunk case.
-    pub detail: String,
-    /// The minimal reproducer.
-    pub case: TrisectCase,
-    /// Language-forbidden-but-exhibited outcomes of the shrunk case
-    /// (escape kinds only) — these become `forbid:` lines.
-    pub outcomes: Vec<Outcome>,
-    /// Accepted shrink steps (0 when shrinking is off).
-    pub steps: usize,
-}
+/// One reported (and possibly shrunk) trisection finding; `outcomes`
+/// holds the language-forbidden-but-exhibited outcomes of the shrunk
+/// case (escape kinds only).
+pub type TrisectFinding = CampaignFinding<TrisectCase>;
 
 struct Cell {
     model: ConsistencyModel,
@@ -529,27 +347,7 @@ impl TrisectReport {
         reg.add("overlay_cases", self.overlay_cases);
         reg.add("lang_enumerations", self.lang_enumerations);
         reg.add("hw_enumerations", self.hw_enumerations);
-        reg.add("findings", self.findings.len() as u64);
-        for kind in TrisectFindingKind::ALL {
-            reg.add(
-                &format!("finding.{}", kind.name()),
-                self.findings.iter().filter(|f| f.kind == kind).count() as u64,
-            );
-        }
-        reg.put("clean", Json::from(self.clean()));
-        reg.put(
-            "reproducers",
-            Json::arr(self.findings.iter().map(|f| {
-                Json::obj([
-                    ("index", Json::from(f.index)),
-                    ("seed", Json::from(f.seed)),
-                    ("kind", Json::str(f.kind.name())),
-                    ("detail", Json::str(f.detail.clone())),
-                    ("steps", Json::from(f.steps)),
-                    ("srclitmus", Json::str(render_src_litmus(&to_src_parsed(f)))),
-                ])
-            })),
-        );
+        add_findings(&mut reg, &self.findings, &TrisectFindingKind::ALL);
         reg
     }
 }
@@ -566,66 +364,14 @@ pub fn to_src_parsed(f: &TrisectFinding) -> ParsedSrcLitmus {
     }
 }
 
-/// Writes each finding's reproducer into `dir` (created if missing) as
-/// `<kind>-seed<seed>.srclitmus`, returning the paths written.
-///
-/// # Errors
-///
-/// Propagates filesystem errors.
-pub fn write_src_regressions(
-    report: &TrisectReport,
-    dir: &std::path::Path,
-) -> std::io::Result<Vec<std::path::PathBuf>> {
-    std::fs::create_dir_all(dir)?;
-    let mut paths = Vec::new();
-    for f in &report.findings {
-        let path = dir.join(format!("{}-seed{}.srclitmus", f.kind.name(), f.seed));
-        std::fs::write(&path, render_src_litmus(&to_src_parsed(f)))?;
-        paths.push(path);
-    }
-    Ok(paths)
-}
-
 fn run_cell(cfg: &TrisectConfig, index: usize) -> Cell {
     let seed = crate::campaign::case_seed(cfg.seed, index);
     let case = generate_src(seed, &cfg.gen);
     let mut hw = BatchChecker::new();
     let mut lang = SrcBatchChecker::new();
-    let raw = check_src_case(&case, &cfg.oracle, &mut hw, &mut lang);
-    // One report per kind: a single root cause often fires several
-    // outcomes at once and shrinking converges per kind.
-    let mut kinds: Vec<TrisectFindingKind> = raw.iter().map(|f| f.kind).collect();
-    kinds.sort_unstable();
-    kinds.dedup();
-    let mut findings = Vec::new();
-    for kind in kinds {
-        let (shrunk, steps) = if cfg.shrink {
-            let SrcShrinkResult { case: c, steps, .. } =
-                shrink_src(&case, kind, &cfg.oracle, &mut hw, &mut lang);
-            (c, steps)
-        } else {
-            (case.clone(), 0)
-        };
-        // Re-derive detail and outcomes from the reproducer itself.
-        let fresh: Vec<SrcFinding> = check_src_case(&shrunk, &cfg.oracle, &mut hw, &mut lang)
-            .into_iter()
-            .filter(|f| f.kind == kind)
-            .collect();
-        let (detail, outcomes) = fresh
-            .into_iter()
-            .next()
-            .map(|f| (f.detail, f.outcomes))
-            .unwrap_or_default();
-        findings.push(TrisectFinding {
-            index,
-            seed,
-            kind,
-            detail,
-            case: shrunk,
-            outcomes,
-            steps,
-        });
-    }
+    let findings = file_findings(index, seed, &case, cfg.shrink, |c| {
+        check_src_case(c, &cfg.oracle, &mut hw, &mut lang)
+    });
     Cell {
         model: case.model,
         faulting: !case.faulting.is_empty(),
@@ -677,7 +423,9 @@ pub fn run_trisection(cfg: &TrisectConfig) -> TrisectReport {
 mod tests {
     use super::*;
     use ise_consistency::program::Loc;
+    use ise_consistency::source::SrcProgram;
     use ise_litmus::parse_src_litmus;
+    use ise_types::instr::Reg;
 
     const A: Loc = Loc(0);
     const B: Loc = Loc(1);

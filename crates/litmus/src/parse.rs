@@ -25,11 +25,22 @@
 //! [`render_litmus`] is its inverse: it pretty-prints a parsed test back
 //! into the dialect, and `parse(render(parse(src)))` round-trips to an
 //! equal test.
+//!
+//! Everything but the statement syntax and the `family:` header is a
+//! skeleton shared with the source-level dialect
+//! ([`src_parse`](crate::src_parse)): the line loop, the `name:`,
+//! `forbid:` and `P<n>:` keys, the thread-label and produced-before-use
+//! dependency checks (both errors carry their line), rendering, and the
+//! directory loader.
 
 use crate::corpus::{Family, LitmusTest};
-use ise_consistency::program::{LitmusProgram, Loc, Outcome, Stmt, StmtOp};
+use ise_consistency::program::{
+    dangling_dep, LitmusProgram, Loc, Outcome, Statement, Stmt, StmtOp,
+};
 use ise_types::instr::{FenceKind, Reg};
-use std::fmt;
+use std::collections::BTreeMap;
+use std::fmt::{self, Write};
+use std::path::Path;
 
 /// A parse failure, with a 1-based line number.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -57,20 +68,55 @@ pub struct ParsedLitmus {
     pub forbidden: Vec<Outcome>,
 }
 
-fn err(line: usize, message: impl Into<String>) -> ParseError {
+// ---------------------------------------------------------------------
+// The skeleton both dialects share: the line loop, the `name:`,
+// `forbid:` and `P<n>:` keys, thread-label and dependency checks, the
+// operand tokens, rendering, and the directory loader.
+// ---------------------------------------------------------------------
+
+/// The parts of a text dialect that differ: its statement syntax and
+/// its one header key. Implemented by [`Stmt`] (this dialect) and by
+/// [`SrcStmt`](ise_consistency::source::SrcStmt)
+/// ([`src_parse`](crate::src_parse)).
+pub(crate) trait Dialect: Statement {
+    /// The header value (`family:` here, `model:` at the source level).
+    type Header: Copy;
+    /// The header key.
+    const HEADER_KEY: &'static str;
+    /// The header value of a file without a header line.
+    const DEFAULT_HEADER: Self::Header;
+    /// Parses a header value.
+    const PARSE_HEADER: fn(&str, usize) -> Result<Self::Header, ParseError>;
+    /// The canonical token for a header value.
+    const HEADER_TOKEN: fn(Self::Header) -> &'static str;
+    /// Parses one statement, `@<reg>` annotation included.
+    fn parse_stmt(text: &str, line: usize) -> Result<Self, ParseError>;
+    /// Renders one statement without its dependency annotation.
+    fn render_op(&self, out: &mut String);
+}
+
+/// The dialect-neutral content of one parsed test.
+pub(crate) struct Body<S: Dialect> {
+    pub(crate) name: String,
+    pub(crate) header: S::Header,
+    pub(crate) threads: Vec<Vec<S>>,
+    pub(crate) forbidden: Vec<Outcome>,
+}
+
+pub(crate) fn err(line: usize, message: impl Into<String>) -> ParseError {
     ParseError {
         line,
         message: message.into(),
     }
 }
 
-/// The highest location letter the dialect names (`H` for
+/// The highest location letter the dialects name (`H` for
 /// [`Loc::LIMIT`] of 8).
 fn loc_limit_letter() -> char {
     (b'A' + Loc::LIMIT - 1) as char
 }
 
-fn parse_loc(tok: &str, line: usize) -> Result<Loc, ParseError> {
+pub(crate) fn parse_loc(tok: &str, line: usize) -> Result<Loc, ParseError> {
     let mut chars = tok.chars();
     match (chars.next(), chars.next()) {
         (Some(c), None) if c.is_ascii_uppercase() => {
@@ -96,7 +142,21 @@ fn parse_loc(tok: &str, line: usize) -> Result<Loc, ParseError> {
     }
 }
 
-fn parse_reg(tok: &str, line: usize) -> Result<Reg, ParseError> {
+/// The letter naming `loc`.
+///
+/// # Panics
+///
+/// Panics if `loc` is at or beyond [`Loc::LIMIT`].
+pub(crate) fn loc_name(loc: Loc) -> char {
+    assert!(
+        loc.0 < Loc::LIMIT,
+        "the litmus dialect only names locations A..{}",
+        loc_limit_letter()
+    );
+    (b'A' + loc.0) as char
+}
+
+pub(crate) fn parse_reg(tok: &str, line: usize) -> Result<Reg, ParseError> {
     tok.strip_prefix('r')
         .and_then(|n| n.parse::<u8>().ok())
         .filter(|&n| n < 32)
@@ -104,48 +164,16 @@ fn parse_reg(tok: &str, line: usize) -> Result<Reg, ParseError> {
         .ok_or_else(|| err(line, format!("expected a register r0..r31, got `{tok}`")))
 }
 
-fn parse_value(tok: &str, line: usize) -> Result<u64, ParseError> {
+pub(crate) fn parse_value(tok: &str, line: usize) -> Result<u64, ParseError> {
     tok.parse::<u64>()
         .map_err(|_| err(line, format!("expected a value, got `{tok}`")))
 }
 
-fn parse_stmt(text: &str, line: usize) -> Result<Stmt, ParseError> {
-    // Split off a trailing dependency annotation `@rN`.
-    let (body, dep) = match text.rsplit_once('@') {
-        Some((body, dep_tok)) => (body.trim(), Some(parse_reg(dep_tok.trim(), line)?)),
-        None => (text.trim(), None),
-    };
-    let toks: Vec<&str> = body.split_whitespace().collect();
-    let mut stmt = match toks.as_slice() {
-        ["W", loc, value] => Stmt::write(parse_loc(loc, line)?, parse_value(value, line)?),
-        ["R", loc, reg] => Stmt::read(parse_loc(loc, line)?, parse_reg(reg, line)?),
-        ["AMO", loc, add, reg] => Stmt::amo(
-            parse_loc(loc, line)?,
-            parse_value(add, line)?,
-            parse_reg(reg, line)?,
-        ),
-        ["F"] => Stmt::fence(FenceKind::Full),
-        ["F.ww"] => Stmt::fence(FenceKind::StoreStore),
-        ["F.rr"] => Stmt::fence(FenceKind::LoadLoad),
-        _ => return Err(err(line, format!("unrecognized statement `{body}`"))),
-    };
-    if let Some(r) = dep {
-        stmt = stmt.depending_on(r);
-    }
-    Ok(stmt)
-}
-
-fn parse_family(tok: &str, line: usize) -> Result<Family, ParseError> {
-    match tok.trim().to_ascii_lowercase().as_str() {
-        "dependencies" | "dep" => Ok(Family::Dependencies),
-        "po-same-location" | "poloc" => Ok(Family::PoSameLocation),
-        "preserved-po" | "ppo" => Ok(Family::PreservedPo),
-        "external-read-from" | "erf" => Ok(Family::ExternalReadFrom),
-        "internal-read-from" | "irf" => Ok(Family::InternalReadFrom),
-        "coherence" | "co" => Ok(Family::CoherenceOrder),
-        "from-read" | "fr" => Ok(Family::FromRead),
-        "barriers" | "barrier" => Ok(Family::Barriers),
-        other => Err(err(line, format!("unknown family `{other}`"))),
+/// Splits a trailing dependency annotation `@rN` off a statement.
+pub(crate) fn split_dep(text: &str, line: usize) -> Result<(&str, Option<Reg>), ParseError> {
+    match text.rsplit_once('@') {
+        Some((body, dep_tok)) => Ok((body.trim(), Some(parse_reg(dep_tok.trim(), line)?))),
+        None => Ok((text.trim(), None)),
     }
 }
 
@@ -173,15 +201,11 @@ fn parse_outcome(text: &str, line: usize) -> Result<Outcome, ParseError> {
     Ok(outcome)
 }
 
-/// Parses one litmus test from its text form.
-///
-/// # Errors
-///
-/// Returns a [`ParseError`] naming the offending line.
-pub fn parse_litmus(src: &str) -> Result<ParsedLitmus, ParseError> {
+/// Parses one test of dialect `S`.
+pub(crate) fn parse_body<S: Dialect>(src: &str) -> Result<Body<S>, ParseError> {
     let mut name: Option<String> = None;
-    let mut family = Family::ExternalReadFrom;
-    let mut threads: Vec<(usize, Vec<Stmt>)> = Vec::new();
+    let mut header = S::DEFAULT_HEADER;
+    let mut threads: BTreeMap<usize, Vec<S>> = BTreeMap::new();
     let mut forbidden = Vec::new();
 
     for (idx, raw) in src.lines().enumerate() {
@@ -197,22 +221,31 @@ pub fn parse_litmus(src: &str) -> Result<ParsedLitmus, ParseError> {
         let rest = rest.trim();
         match key {
             "name" => name = Some(rest.to_string()),
-            "family" => family = parse_family(rest, lineno)?,
             "forbid" => forbidden.push(parse_outcome(rest, lineno)?),
+            k if k == S::HEADER_KEY => header = (S::PARSE_HEADER)(rest, lineno)?,
             k if k.starts_with('P') => {
                 let tid: usize = k[1..]
                     .parse()
                     .map_err(|_| err(lineno, format!("bad thread label `{k}`")))?;
+                if threads.contains_key(&tid) {
+                    return Err(err(lineno, format!("duplicate thread label P{tid}")));
+                }
                 let stmts = rest
                     .split(';')
                     .map(str::trim)
                     .filter(|s| !s.is_empty())
-                    .map(|s| parse_stmt(s, lineno))
+                    .map(|s| S::parse_stmt(s, lineno))
                     .collect::<Result<Vec<_>, _>>()?;
                 if stmts.is_empty() {
                     return Err(err(lineno, "thread with no statements"));
                 }
-                threads.push((tid, stmts));
+                if let Some((_, r)) = dangling_dep(&stmts) {
+                    return Err(err(
+                        lineno,
+                        format!("thread {tid}: dependency on {r} not produced by an earlier load"),
+                    ));
+                }
+                threads.insert(tid, stmts);
             }
             other => return Err(err(lineno, format!("unknown key `{other}`"))),
         }
@@ -221,8 +254,7 @@ pub fn parse_litmus(src: &str) -> Result<ParsedLitmus, ParseError> {
     if threads.is_empty() {
         return Err(err(0, "no threads (P0:, P1:, ...) found"));
     }
-    threads.sort_by_key(|&(tid, _)| tid);
-    for (expect, &(tid, _)) in threads.iter().enumerate() {
+    for (expect, &tid) in threads.keys().enumerate() {
         if tid != expect {
             return Err(err(
                 0,
@@ -230,15 +262,91 @@ pub fn parse_litmus(src: &str) -> Result<ParsedLitmus, ParseError> {
             ));
         }
     }
-    let program = LitmusProgram::new(threads.into_iter().map(|(_, s)| s).collect());
-    Ok(ParsedLitmus {
-        test: LitmusTest {
-            name: name.unwrap_or_else(|| "anonymous".into()),
-            family,
-            program,
-        },
+    Ok(Body {
+        name: name.unwrap_or_else(|| "anonymous".into()),
+        header,
+        threads: threads.into_values().collect(),
         forbidden,
     })
+}
+
+/// Pretty-prints one test of dialect `S`: canonical (one `P<t>:` line
+/// per thread, statements joined by ` ; `, one `forbid:` line per
+/// outcome), so `parse ∘ render` is a fixed point.
+pub(crate) fn render_body<S: Dialect>(
+    name: &str,
+    header: S::Header,
+    threads: &[Vec<S>],
+    forbidden: &[Outcome],
+) -> String {
+    let mut out = String::new();
+    writeln!(out, "name: {name}").unwrap();
+    writeln!(out, "{}: {}", S::HEADER_KEY, (S::HEADER_TOKEN)(header)).unwrap();
+    for (t, stmts) in threads.iter().enumerate() {
+        write!(out, "P{t}:").unwrap();
+        for (i, s) in stmts.iter().enumerate() {
+            out.push_str(if i == 0 { " " } else { " ; " });
+            s.render_op(&mut out);
+            if let Some(r) = s.dep() {
+                write!(out, " @{r}").unwrap();
+            }
+        }
+        out.push('\n');
+    }
+    for f in forbidden {
+        let clauses: Vec<String> = f.iter().map(|((t, r), v)| format!("{t}:{r}={v}")).collect();
+        writeln!(out, "forbid: {}", clauses.join(" & ")).unwrap();
+    }
+    out
+}
+
+/// Parses every `*.<ext>` file directly inside `dir`, sorted by file
+/// name. A missing directory is an empty corpus (the fuzzer may simply
+/// not have written any reproducers yet).
+pub(crate) fn load_dir<T>(
+    dir: &Path,
+    ext: &str,
+    parse: fn(&str) -> Result<T, ParseError>,
+) -> Result<Vec<(String, T)>, String> {
+    let entries = match std::fs::read_dir(dir) {
+        Ok(entries) => entries,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
+        Err(e) => return Err(format!("{}: {e}", dir.display())),
+    };
+    let mut files: Vec<std::path::PathBuf> = entries
+        .map(|e| e.map(|e| e.path()))
+        .collect::<Result<_, _>>()
+        .map_err(|e| format!("{}: {e}", dir.display()))?;
+    files.retain(|p| p.extension().is_some_and(|x| x == ext));
+    files.sort();
+    files
+        .into_iter()
+        .map(|path| {
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            let src =
+                std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
+            let parsed = parse(&src).map_err(|e| format!("{}: {e}", path.display()))?;
+            Ok((name, parsed))
+        })
+        .collect()
+}
+
+// ---------------------------------------------------------------------
+// The hardware dialect.
+// ---------------------------------------------------------------------
+
+fn parse_family(tok: &str, line: usize) -> Result<Family, ParseError> {
+    match tok.trim().to_ascii_lowercase().as_str() {
+        "dependencies" | "dep" => Ok(Family::Dependencies),
+        "po-same-location" | "poloc" => Ok(Family::PoSameLocation),
+        "preserved-po" | "ppo" => Ok(Family::PreservedPo),
+        "external-read-from" | "erf" => Ok(Family::ExternalReadFrom),
+        "internal-read-from" | "irf" => Ok(Family::InternalReadFrom),
+        "coherence" | "co" => Ok(Family::CoherenceOrder),
+        "from-read" | "fr" => Ok(Family::FromRead),
+        "barriers" | "barrier" => Ok(Family::Barriers),
+        other => Err(err(line, format!("unknown family `{other}`"))),
+    }
 }
 
 /// The canonical token for a family — the form [`render_litmus`] emits
@@ -256,28 +364,61 @@ fn family_token(family: Family) -> &'static str {
     }
 }
 
-fn render_stmt(s: &Stmt, out: &mut String) {
-    use std::fmt::Write;
-    let loc_name = |loc: Loc| {
-        assert!(
-            loc.0 < Loc::LIMIT,
-            "the litmus dialect only names locations A..{}",
-            loc_limit_letter()
-        );
-        (b'A' + loc.0) as char
-    };
-    match s.op {
-        StmtOp::Write { loc, value } => write!(out, "W {} {value}", loc_name(loc)).unwrap(),
-        StmtOp::Read { loc, dst } => write!(out, "R {} {dst}", loc_name(loc)).unwrap(),
-        StmtOp::Amo { loc, add, dst } => write!(out, "AMO {} {add} {dst}", loc_name(loc)).unwrap(),
-        StmtOp::Fence(FenceKind::Full) => out.push('F'),
-        StmtOp::Fence(FenceKind::StoreStore) => out.push_str("F.ww"),
-        StmtOp::Fence(FenceKind::LoadLoad) => out.push_str("F.rr"),
+impl Dialect for Stmt {
+    type Header = Family;
+    const HEADER_KEY: &'static str = "family";
+    const DEFAULT_HEADER: Family = Family::ExternalReadFrom;
+    const PARSE_HEADER: fn(&str, usize) -> Result<Family, ParseError> = parse_family;
+    const HEADER_TOKEN: fn(Family) -> &'static str = family_token;
+
+    fn parse_stmt(text: &str, line: usize) -> Result<Stmt, ParseError> {
+        let (body, dep) = split_dep(text, line)?;
+        let toks: Vec<&str> = body.split_whitespace().collect();
+        let stmt = match toks.as_slice() {
+            ["W", loc, value] => Stmt::write(parse_loc(loc, line)?, parse_value(value, line)?),
+            ["R", loc, reg] => Stmt::read(parse_loc(loc, line)?, parse_reg(reg, line)?),
+            ["AMO", loc, add, reg] => Stmt::amo(
+                parse_loc(loc, line)?,
+                parse_value(add, line)?,
+                parse_reg(reg, line)?,
+            ),
+            ["F"] => Stmt::fence(FenceKind::Full),
+            ["F.ww"] => Stmt::fence(FenceKind::StoreStore),
+            ["F.rr"] => Stmt::fence(FenceKind::LoadLoad),
+            _ => return Err(err(line, format!("unrecognized statement `{body}`"))),
+        };
+        Ok(stmt.with_dep(dep))
     }
-    if let Some(r) = s.dep {
-        use std::fmt::Write;
-        write!(out, " @{r}").unwrap();
+
+    fn render_op(&self, out: &mut String) {
+        match self.op {
+            StmtOp::Write { loc, value } => write!(out, "W {} {value}", loc_name(loc)).unwrap(),
+            StmtOp::Read { loc, dst } => write!(out, "R {} {dst}", loc_name(loc)).unwrap(),
+            StmtOp::Amo { loc, add, dst } => {
+                write!(out, "AMO {} {add} {dst}", loc_name(loc)).unwrap()
+            }
+            StmtOp::Fence(FenceKind::Full) => out.push('F'),
+            StmtOp::Fence(FenceKind::StoreStore) => out.push_str("F.ww"),
+            StmtOp::Fence(FenceKind::LoadLoad) => out.push_str("F.rr"),
+        }
     }
+}
+
+/// Parses one litmus test from its text form.
+///
+/// # Errors
+///
+/// Returns a [`ParseError`] naming the offending line.
+pub fn parse_litmus(src: &str) -> Result<ParsedLitmus, ParseError> {
+    let body = parse_body::<Stmt>(src)?;
+    Ok(ParsedLitmus {
+        test: LitmusTest {
+            name: body.name,
+            family: body.header,
+            program: LitmusProgram::new(body.threads),
+        },
+        forbidden: body.forbidden,
+    })
 }
 
 /// Pretty-prints a parsed test back into the text dialect.
@@ -293,23 +434,12 @@ fn render_stmt(s: &Stmt, out: &mut String) {
 /// which the text dialect cannot name (and the machine does not
 /// support).
 pub fn render_litmus(p: &ParsedLitmus) -> String {
-    use std::fmt::Write;
-    let mut out = String::new();
-    writeln!(out, "name: {}", p.test.name).unwrap();
-    writeln!(out, "family: {}", family_token(p.test.family)).unwrap();
-    for (t, stmts) in p.test.program.threads.iter().enumerate() {
-        write!(out, "P{t}:").unwrap();
-        for (i, s) in stmts.iter().enumerate() {
-            out.push_str(if i == 0 { " " } else { " ; " });
-            render_stmt(s, &mut out);
-        }
-        out.push('\n');
-    }
-    for f in &p.forbidden {
-        let clauses: Vec<String> = f.iter().map(|((t, r), v)| format!("{t}:{r}={v}")).collect();
-        writeln!(out, "forbid: {}", clauses.join(" & ")).unwrap();
-    }
-    out
+    render_body(
+        &p.test.name,
+        p.test.family,
+        &p.test.program.threads,
+        &p.forbidden,
+    )
 }
 
 /// Parses every `*.litmus` file directly inside `dir`, sorted by file
@@ -320,28 +450,8 @@ pub fn render_litmus(p: &ParsedLitmus) -> String {
 /// # Errors
 ///
 /// Returns a message naming the unreadable or unparseable file.
-pub fn load_litmus_dir(dir: &std::path::Path) -> Result<Vec<(String, ParsedLitmus)>, String> {
-    let entries = match std::fs::read_dir(dir) {
-        Ok(entries) => entries,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(format!("{}: {e}", dir.display())),
-    };
-    let mut files: Vec<std::path::PathBuf> = entries
-        .map(|e| e.map(|e| e.path()))
-        .collect::<Result<_, _>>()
-        .map_err(|e| format!("{}: {e}", dir.display()))?;
-    files.retain(|p| p.extension().is_some_and(|x| x == "litmus"));
-    files.sort();
-    files
-        .into_iter()
-        .map(|path| {
-            let name = path.file_name().unwrap().to_string_lossy().into_owned();
-            let src =
-                std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-            let parsed = parse_litmus(&src).map_err(|e| format!("{}: {e}", path.display()))?;
-            Ok((name, parsed))
-        })
-        .collect()
+pub fn load_litmus_dir(dir: &Path) -> Result<Vec<(String, ParsedLitmus)>, String> {
+    load_dir(dir, "litmus", parse_litmus)
 }
 
 #[cfg(test)]

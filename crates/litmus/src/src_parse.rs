@@ -9,8 +9,10 @@
 //! forbid: 1:r0=1 & 1:r1=0
 //! ```
 //!
-//! The dialect mirrors the hardware one ([`parse`](crate::parse)) with
-//! memory-order annotations instead of bare opcodes:
+//! The dialect shares the hardware one's skeleton
+//! ([`parse`](crate::parse)) and differs only in its statements, which
+//! carry memory-order annotations instead of bare opcodes, and its
+//! header key:
 //!
 //! * Statements: `W.<ord> <loc> <value>`, `R.<ord> <loc> <reg>`,
 //!   `F.<ord>`, with `<ord>` one of `rlx`, `acq`, `rel`, `sc` —
@@ -27,11 +29,14 @@
 //! loader ([`load_litmus_dir`](crate::parse::load_litmus_dir)) skips
 //! them and [`load_src_litmus_dir`] picks them up.
 
-use crate::parse::ParseError;
-use ise_consistency::program::{Loc, Outcome};
-use ise_consistency::source::{MemOrder, SrcProgram, SrcStmt};
-use ise_types::instr::Reg;
+use crate::parse::{
+    err, load_dir, loc_name, parse_body, parse_loc, parse_reg, parse_value, render_body, split_dep,
+    Dialect, ParseError,
+};
+use ise_consistency::program::{Outcome, Statement};
+use ise_consistency::source::{MemOrder, SrcOp, SrcProgram, SrcStmt};
 use ise_types::model::ConsistencyModel;
+use std::fmt::Write;
 
 /// A parsed source-level test.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,67 +51,16 @@ pub struct ParsedSrcLitmus {
     pub forbidden: Vec<Outcome>,
 }
 
-fn err(line: usize, message: impl Into<String>) -> ParseError {
-    ParseError {
-        line,
-        message: message.into(),
-    }
-}
-
-fn loc_limit_letter() -> char {
-    (b'A' + Loc::LIMIT - 1) as char
-}
-
-fn parse_loc(tok: &str, line: usize) -> Result<Loc, ParseError> {
-    let mut chars = tok.chars();
-    match (chars.next(), chars.next()) {
-        (Some(c), None) if c.is_ascii_uppercase() => {
-            let loc = Loc(c as u8 - b'A');
-            if loc.0 < Loc::LIMIT {
-                Ok(loc)
-            } else {
-                Err(err(
-                    line,
-                    format!(
-                        "location `{c}` is out of range: the machine supports {} locations \
-                         (A..{})",
-                        Loc::LIMIT,
-                        loc_limit_letter()
-                    ),
-                ))
-            }
-        }
-        _ => Err(err(
-            line,
-            format!("expected a location A..{}, got `{tok}`", loc_limit_letter()),
-        )),
-    }
-}
-
-fn parse_reg(tok: &str, line: usize) -> Result<Reg, ParseError> {
-    tok.strip_prefix('r')
-        .and_then(|n| n.parse::<u8>().ok())
-        .filter(|&n| n < 32)
-        .map(Reg)
-        .ok_or_else(|| err(line, format!("expected a register r0..r31, got `{tok}`")))
-}
-
-fn parse_value(tok: &str, line: usize) -> Result<u64, ParseError> {
-    tok.parse::<u64>()
-        .map_err(|_| err(line, format!("expected a value, got `{tok}`")))
-}
-
 fn parse_order(tok: &str, line: usize) -> Result<MemOrder, ParseError> {
-    match tok {
-        "rlx" => Ok(MemOrder::Relaxed),
-        "acq" => Ok(MemOrder::Acquire),
-        "rel" => Ok(MemOrder::Release),
-        "sc" => Ok(MemOrder::SeqCst),
-        other => Err(err(
-            line,
-            format!("unknown memory order `{other}` (rlx|acq|rel|sc)"),
-        )),
-    }
+    MemOrder::ALL
+        .into_iter()
+        .find(|o| o.token() == tok)
+        .ok_or_else(|| {
+            err(
+                line,
+                format!("unknown memory order `{tok}` (rlx|acq|rel|sc)"),
+            )
+        })
 }
 
 /// Splits `W.rel` into (`W`, order), validating the annotation exists.
@@ -120,56 +74,6 @@ fn parse_opcode(tok: &str, line: usize) -> Result<(&str, MemOrder), ParseError> 
     Ok((op, parse_order(ord, line)?))
 }
 
-fn parse_src_stmt(text: &str, line: usize) -> Result<SrcStmt, ParseError> {
-    let (body, dep) = match text.rsplit_once('@') {
-        Some((body, dep_tok)) => (body.trim(), Some(parse_reg(dep_tok.trim(), line)?)),
-        None => (text.trim(), None),
-    };
-    let toks: Vec<&str> = body.split_whitespace().collect();
-    let mut stmt = match toks.as_slice() {
-        [op, loc, value_or_reg] => {
-            let (opcode, order) = parse_opcode(op, line)?;
-            match opcode {
-                "W" => {
-                    if order == MemOrder::Acquire {
-                        return Err(err(line, "a store cannot be acquire (`W.acq`)"));
-                    }
-                    SrcStmt::store(
-                        parse_loc(loc, line)?,
-                        parse_value(value_or_reg, line)?,
-                        order,
-                    )
-                }
-                "R" => {
-                    if order == MemOrder::Release {
-                        return Err(err(line, "a load cannot be release (`R.rel`)"));
-                    }
-                    SrcStmt::load(parse_loc(loc, line)?, parse_reg(value_or_reg, line)?, order)
-                }
-                other => return Err(err(line, format!("unrecognized opcode `{other}`"))),
-            }
-        }
-        [op] => {
-            let (opcode, order) = parse_opcode(op, line)?;
-            if opcode != "F" {
-                return Err(err(line, format!("unrecognized statement `{body}`")));
-            }
-            if order == MemOrder::Relaxed {
-                return Err(err(line, "a relaxed fence is a no-op (`F.rlx`)"));
-            }
-            SrcStmt::fence(order)
-        }
-        _ => return Err(err(line, format!("unrecognized statement `{body}`"))),
-    };
-    if let Some(r) = dep {
-        if matches!(stmt.op, ise_consistency::source::SrcOp::Fence { .. }) {
-            return Err(err(line, "a fence cannot carry a dependency"));
-        }
-        stmt = stmt.depending_on(r);
-    }
-    Ok(stmt)
-}
-
 fn parse_model(tok: &str, line: usize) -> Result<ConsistencyModel, ParseError> {
     match tok.trim().to_ascii_lowercase().as_str() {
         "sc" => Ok(ConsistencyModel::Sc),
@@ -177,115 +81,6 @@ fn parse_model(tok: &str, line: usize) -> Result<ConsistencyModel, ParseError> {
         "wc" => Ok(ConsistencyModel::Wc),
         other => Err(err(line, format!("unknown model `{other}` (sc|pc|wc)"))),
     }
-}
-
-fn parse_outcome(text: &str, line: usize) -> Result<Outcome, ParseError> {
-    let mut outcome = Outcome::new();
-    for clause in text.split('&') {
-        let clause = clause.trim();
-        let (lhs, value) = clause
-            .split_once('=')
-            .ok_or_else(|| err(line, format!("expected `<t>:<reg>=<v>`, got `{clause}`")))?;
-        let (thread, reg) = lhs
-            .split_once(':')
-            .ok_or_else(|| err(line, format!("expected `<t>:<reg>`, got `{lhs}`")))?;
-        let t: usize = thread
-            .trim()
-            .parse()
-            .map_err(|_| err(line, format!("bad thread id `{thread}`")))?;
-        let r = parse_reg(reg.trim(), line)?;
-        let v = parse_value(value.trim(), line)?;
-        outcome.insert((t, r), v);
-    }
-    if outcome.is_empty() {
-        return Err(err(line, "empty outcome"));
-    }
-    Ok(outcome)
-}
-
-/// Parses one source-level litmus test from its text form.
-///
-/// # Errors
-///
-/// Returns a [`ParseError`] naming the offending line.
-pub fn parse_src_litmus(src: &str) -> Result<ParsedSrcLitmus, ParseError> {
-    let mut name: Option<String> = None;
-    let mut model = ConsistencyModel::Wc;
-    let mut threads: Vec<(usize, Vec<SrcStmt>)> = Vec::new();
-    let mut forbidden = Vec::new();
-
-    for (idx, raw) in src.lines().enumerate() {
-        let lineno = idx + 1;
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let (key, rest) = line
-            .split_once(':')
-            .ok_or_else(|| err(lineno, "expected `key: value`"))?;
-        let key = key.trim();
-        let rest = rest.trim();
-        match key {
-            "name" => name = Some(rest.to_string()),
-            "model" => model = parse_model(rest, lineno)?,
-            "forbid" => forbidden.push(parse_outcome(rest, lineno)?),
-            k if k.starts_with('P') => {
-                let tid: usize = k[1..]
-                    .parse()
-                    .map_err(|_| err(lineno, format!("bad thread label `{k}`")))?;
-                let stmts = rest
-                    .split(';')
-                    .map(str::trim)
-                    .filter(|s| !s.is_empty())
-                    .map(|s| parse_src_stmt(s, lineno))
-                    .collect::<Result<Vec<_>, _>>()?;
-                if stmts.is_empty() {
-                    return Err(err(lineno, "thread with no statements"));
-                }
-                threads.push((tid, stmts));
-            }
-            other => return Err(err(lineno, format!("unknown key `{other}`"))),
-        }
-    }
-
-    if threads.is_empty() {
-        return Err(err(0, "no threads (P0:, P1:, ...) found"));
-    }
-    threads.sort_by_key(|&(tid, _)| tid);
-    for (expect, &(tid, _)) in threads.iter().enumerate() {
-        if tid != expect {
-            return Err(err(
-                0,
-                format!("thread ids must be dense from P0; missing P{expect}"),
-            ));
-        }
-    }
-    // Dangling dependencies panic in SrcProgram::new; surface them as a
-    // parse error instead.
-    let stmt_lists: Vec<Vec<SrcStmt>> = threads.into_iter().map(|(_, s)| s).collect();
-    for (t, stmts) in stmt_lists.iter().enumerate() {
-        let mut produced: Vec<Reg> = Vec::new();
-        for s in stmts {
-            if let Some(r) = s.dep {
-                if !produced.contains(&r) {
-                    return Err(err(
-                        0,
-                        format!("thread {t}: dependency on {r} not produced by an earlier load"),
-                    ));
-                }
-            }
-            if let Some(dst) = s.produced() {
-                produced.push(dst);
-            }
-        }
-    }
-    let program = SrcProgram::new(stmt_lists);
-    Ok(ParsedSrcLitmus {
-        name: name.unwrap_or_else(|| "anonymous".into()),
-        model,
-        program,
-        forbidden,
-    })
 }
 
 /// The canonical `model:` token.
@@ -297,30 +92,83 @@ fn model_token(model: ConsistencyModel) -> &'static str {
     }
 }
 
-fn render_src_stmt(s: &SrcStmt, out: &mut String) {
-    use ise_consistency::source::SrcOp;
-    use std::fmt::Write;
-    let loc_name = |loc: Loc| {
-        assert!(
-            loc.0 < Loc::LIMIT,
-            "the source dialect only names locations A..{}",
-            loc_limit_letter()
-        );
-        (b'A' + loc.0) as char
-    };
-    match s.op {
-        SrcOp::Store { loc, value, order } => {
-            write!(out, "W.{} {} {value}", order.token(), loc_name(loc)).unwrap()
-        }
-        SrcOp::Load { loc, dst, order } => {
-            write!(out, "R.{} {} {dst}", order.token(), loc_name(loc)).unwrap()
-        }
-        SrcOp::Fence { order } => write!(out, "F.{}", order.token()).unwrap(),
+impl Dialect for SrcStmt {
+    type Header = ConsistencyModel;
+    const HEADER_KEY: &'static str = "model";
+    const DEFAULT_HEADER: ConsistencyModel = ConsistencyModel::Wc;
+    const PARSE_HEADER: fn(&str, usize) -> Result<ConsistencyModel, ParseError> = parse_model;
+    const HEADER_TOKEN: fn(ConsistencyModel) -> &'static str = model_token;
+
+    fn parse_stmt(text: &str, line: usize) -> Result<SrcStmt, ParseError> {
+        let (body, dep) = split_dep(text, line)?;
+        let toks: Vec<&str> = body.split_whitespace().collect();
+        let stmt = match toks.as_slice() {
+            [op, loc, value_or_reg] => {
+                let (opcode, order) = parse_opcode(op, line)?;
+                match opcode {
+                    "W" => {
+                        if order == MemOrder::Acquire {
+                            return Err(err(line, "a store cannot be acquire (`W.acq`)"));
+                        }
+                        SrcStmt::store(
+                            parse_loc(loc, line)?,
+                            parse_value(value_or_reg, line)?,
+                            order,
+                        )
+                    }
+                    "R" => {
+                        if order == MemOrder::Release {
+                            return Err(err(line, "a load cannot be release (`R.rel`)"));
+                        }
+                        SrcStmt::load(parse_loc(loc, line)?, parse_reg(value_or_reg, line)?, order)
+                    }
+                    other => return Err(err(line, format!("unrecognized opcode `{other}`"))),
+                }
+            }
+            [op] => {
+                let (opcode, order) = parse_opcode(op, line)?;
+                if opcode != "F" {
+                    return Err(err(line, format!("unrecognized statement `{body}`")));
+                }
+                if order == MemOrder::Relaxed {
+                    return Err(err(line, "a relaxed fence is a no-op (`F.rlx`)"));
+                }
+                if dep.is_some() {
+                    return Err(err(line, "a fence cannot carry a dependency"));
+                }
+                SrcStmt::fence(order)
+            }
+            _ => return Err(err(line, format!("unrecognized statement `{body}`"))),
+        };
+        Ok(stmt.with_dep(dep))
     }
-    if let Some(r) = s.dep {
-        use std::fmt::Write;
-        write!(out, " @{r}").unwrap();
+
+    fn render_op(&self, out: &mut String) {
+        match self.op {
+            SrcOp::Store { loc, value, order } => {
+                write!(out, "W.{} {} {value}", order.token(), loc_name(loc)).unwrap()
+            }
+            SrcOp::Load { loc, dst, order } => {
+                write!(out, "R.{} {} {dst}", order.token(), loc_name(loc)).unwrap()
+            }
+            SrcOp::Fence { order } => write!(out, "F.{}", order.token()).unwrap(),
+        }
     }
+}
+
+/// Parses one source-level litmus test from its text form.
+///
+/// # Errors
+///
+/// Returns a [`ParseError`] naming the offending line.
+pub fn parse_src_litmus(src: &str) -> Result<ParsedSrcLitmus, ParseError> {
+    let body = parse_body::<SrcStmt>(src)?;
+    Ok(ParsedSrcLitmus {
+        name: body.name,
+        model: body.header,
+        program: SrcProgram::new(body.threads),
+        forbidden: body.forbidden,
+    })
 }
 
 /// Pretty-prints a parsed source test back into the dialect.
@@ -330,25 +178,10 @@ fn render_src_stmt(s: &SrcStmt, out: &mut String) {
 ///
 /// # Panics
 ///
-/// Panics if the program uses a location at or beyond [`Loc::LIMIT`].
+/// Panics if the program uses a location at or beyond
+/// [`Loc::LIMIT`](ise_consistency::program::Loc::LIMIT).
 pub fn render_src_litmus(p: &ParsedSrcLitmus) -> String {
-    use std::fmt::Write;
-    let mut out = String::new();
-    writeln!(out, "name: {}", p.name).unwrap();
-    writeln!(out, "model: {}", model_token(p.model)).unwrap();
-    for (t, stmts) in p.program.threads.iter().enumerate() {
-        write!(out, "P{t}:").unwrap();
-        for (i, s) in stmts.iter().enumerate() {
-            out.push_str(if i == 0 { " " } else { " ; " });
-            render_src_stmt(s, &mut out);
-        }
-        out.push('\n');
-    }
-    for f in &p.forbidden {
-        let clauses: Vec<String> = f.iter().map(|((t, r), v)| format!("{t}:{r}={v}")).collect();
-        writeln!(out, "forbid: {}", clauses.join(" & ")).unwrap();
-    }
-    out
+    render_body(&p.name, p.model, &p.program.threads, &p.forbidden)
 }
 
 /// Parses every `*.srclitmus` file directly inside `dir`, sorted by
@@ -361,33 +194,14 @@ pub fn render_src_litmus(p: &ParsedSrcLitmus) -> String {
 pub fn load_src_litmus_dir(
     dir: &std::path::Path,
 ) -> Result<Vec<(String, ParsedSrcLitmus)>, String> {
-    let entries = match std::fs::read_dir(dir) {
-        Ok(entries) => entries,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => return Err(format!("{}: {e}", dir.display())),
-    };
-    let mut files: Vec<std::path::PathBuf> = entries
-        .map(|e| e.map(|e| e.path()))
-        .collect::<Result<_, _>>()
-        .map_err(|e| format!("{}: {e}", dir.display()))?;
-    files.retain(|p| p.extension().is_some_and(|x| x == "srclitmus"));
-    files.sort();
-    files
-        .into_iter()
-        .map(|path| {
-            let name = path.file_name().unwrap().to_string_lossy().into_owned();
-            let src =
-                std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-            let parsed = parse_src_litmus(&src).map_err(|e| format!("{}: {e}", path.display()))?;
-            Ok((name, parsed))
-        })
-        .collect()
+    load_dir(dir, "srclitmus", parse_src_litmus)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ise_consistency::source::SrcOp;
+    use ise_consistency::program::Loc;
+    use ise_types::instr::Reg;
 
     const MP: &str = r#"
 # release/acquire message passing

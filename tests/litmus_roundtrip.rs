@@ -229,3 +229,53 @@ fn malformed_source_dialect_inputs_are_rejected_with_line_numbers() {
         );
     }
 }
+
+#[test]
+fn malformed_inputs_are_rejected_with_line_numbers_in_both_dialects() {
+    // The dialect-neutral rows: both parsers share one skeleton, so each
+    // row must fail the same way — same message, same line (0 for
+    // whole-file errors) — in the hardware and the source dialect, and
+    // never panic.
+    for (hw, src, needle, line) in [
+        (
+            "P0: W A 1\nforbid: 0:r0\n",
+            "P0: W.rlx A 1\nforbid: 0:r0\n",
+            "expected",
+            2,
+        ),
+        ("forbid: 0:r0=1\n", "forbid: 0:r0=1\n", "no threads", 0),
+        (
+            "P0: W A 1\nP2: W A 1\n",
+            "P0: W.rlx A 1\nP2: W.rlx A 1\n",
+            "dense from P0",
+            0,
+        ),
+        ("P0: W Z 1\n", "P0: W.rlx Z 1\n", "out of range", 1),
+        ("P0: R A r99\n", "P0: R.acq A r99\n", "register", 1),
+        (
+            "name: t\nP0: W A 1 @r3\n",
+            "name: t\nP0: W.rlx A 1 @r3\n",
+            "not produced",
+            2,
+        ),
+        (
+            "P0: W A 1\nP1: R A r0\nP0: W A 2\n",
+            "P0: W.rlx A 1\nP1: R.rlx A r0\nP0: W.rlx A 2\n",
+            "duplicate thread label P0",
+            3,
+        ),
+    ] {
+        for (dialect, e) in [
+            ("hardware", parse_litmus(hw).map(|_| ()).unwrap_err()),
+            ("source", parse_src_litmus(src).map(|_| ()).unwrap_err()),
+        ] {
+            assert!(
+                e.message.contains(needle),
+                "{dialect} dialect: `{}` should fail with `{needle}`, got: {}",
+                if dialect == "hardware" { hw } else { src }.trim(),
+                e.message
+            );
+            assert_eq!(e.line, line, "{dialect} dialect: {}", e.message);
+        }
+    }
+}

@@ -5,7 +5,7 @@
 //! minimal source reproducers.
 //!
 //! CI runs this file under both `ISE_CYCLE_SKIP` pins (the
-//! trisection-smoke matrix), so byte-determinism here also covers the
+//! litmus-smoke matrix), so byte-determinism here also covers the
 //! clock axis end to end.
 
 use imprecise_store_exceptions::consistency::MappingBug;
