@@ -1,11 +1,10 @@
 //! Objective evaluation: one fault plan, one full-system run, four
 //! damage scores.
 //!
-//! Every evaluation runs the complete invariant set — the standard
-//! chaos-campaign trio plus the containment layer plus the
-//! applied-visibility audit (see [`ise_sim::invariants`]) — so a "win"
-//! is never an artifact of a run the simulator itself would reject. The
-//! four objectives mirror DESIGN.md §13:
+//! Every evaluation is a [`FaultCell`] and runs the one campaign audit
+//! (see [`ise_sim::invariants`]) — so a "win" is never an artifact of a
+//! run the simulator itself would reject. The four objectives mirror
+//! DESIGN.md §13:
 //!
 //! 1. **Corrupt** — architectural state diverges (the visibility audit
 //!    fires) while every invariant stays green and nothing is killed:
@@ -19,13 +18,12 @@
 
 use crate::plan::AdvPlan;
 use crate::target::{pool_page, victim_workload};
-use ise_core::{FaultInjector, FaultPlan, FaultResolver};
+use ise_core::FaultPlan;
 use ise_engine::Cycle;
-use ise_sim::{invariants, System};
+use ise_sim::FaultCell;
 use ise_types::config::{OsCostConfig, SystemConfig};
 use ise_types::model::ConsistencyModel;
 use ise_types::RecoveryHardening;
-use std::rc::Rc;
 
 /// Default cycle budget per evaluation. The victim completes in well
 /// under 100k cycles even on the slowest backoff path; a plan that is
@@ -96,7 +94,7 @@ pub struct EvalOutcome {
     pub key: String,
     /// The run exhausted its cycle budget (all objectives score zero).
     pub timed_out: bool,
-    /// Standard + containment invariant violations (empty = contained).
+    /// Audit violations (empty = contained).
     pub violations: Vec<String>,
     /// Applied-visibility audit findings (non-empty = architectural
     /// corruption).
@@ -206,47 +204,19 @@ pub fn evaluate(plan: &AdvPlan, cfg: &EvalConfig) -> EvalOutcome {
     sys_cfg.reference_clock = cfg.reference_clock;
 
     let workload = victim_workload();
-    let injector: Rc<FaultInjector> = Rc::new(
-        FaultPlan::new(0xAD5E ^ 0xF417)
-            .pages(plan.pages.iter().map(|&i| pool_page(i)), plan.spec())
-            .build(),
-    );
+    let faults = FaultPlan::new(0xAD5E ^ 0xF417)
+        .pages(plan.pages.iter().map(|&i| pool_page(i)), plan.spec());
+    let mut cell = FaultCell::build(sys_cfg, &workload, Some(faults));
+    cell.sys = cell.sys.with_fsb_capacity(plan.fsb_capacity);
+    let run = cell.run(cfg.max_cycles, ise_engine::skip_clock(&sys_cfg));
 
-    // Chaos idiom: EInject stays inert, the injector is the only fault
-    // source.
-    let mut quiet = workload.clone();
-    quiet.einject_pages.clear();
-    let mut sys = System::with_fault_sources(
-        sys_cfg,
-        &quiet,
-        vec![injector.clone() as Rc<dyn FaultResolver>],
-    )
-    .with_fsb_capacity(plan.fsb_capacity)
-    .with_contract_monitor();
-
-    let budget = match ise_engine::cell_budget() {
-        Some(cap) => cfg.max_cycles.min(cap),
-        None => cfg.max_cycles,
-    };
-    let skip = ise_engine::skip_clock(&sys_cfg);
-    let (stats, timed_out) = sys.run_bounded(budget, skip);
-
-    // A timed-out run is reported, not audited — mid-flight state
-    // legitimately violates end-of-run conservation.
-    let (violations, corruption) = if timed_out {
-        (Vec::new(), Vec::new())
-    } else {
-        let mut v = invariants::standard_violations(&sys, &workload, &stats);
-        v.extend(invariants::containment_violations(&sys, &stats));
-        (v, invariants::applied_visibility_violations(&sys))
-    };
-
+    let (sys, stats) = (&cell.sys, &run.stats);
     let os = sys.os_kernel().counters();
     EvalOutcome {
         key: plan.key(),
-        timed_out,
-        violations,
-        corruption,
+        timed_out: run.timed_out,
+        violations: run.audit.violations,
+        corruption: run.audit.corruption,
         killed: stats.killed,
         retry_exhausted: os.retry_exhausted,
         backoff_cycles: os.backoff_cycles,
@@ -255,7 +225,7 @@ pub fn evaluate(plan: &AdvPlan, cfg: &EvalConfig) -> EvalOutcome {
         early_drain_interrupts: stats.early_drain_interrupts,
         fsb_high_water_mark: stats.fsb_high_water_mark,
         discarded: sys.discarded_per_core().iter().sum(),
-        denied: injector.denied_count(),
+        denied: cell.injector.as_ref().map_or(0, |i| i.denied_count()),
         stores_applied: stats.stores_applied,
         cycles: stats.cycles,
     }

@@ -31,9 +31,6 @@ pub const WC_TOLERANCE: f64 = 0.995;
 /// sweep must not clip it).
 const SCALABLE_SB_CAP: usize = 8192;
 
-/// Checkpoint budgets examined by the sweep.
-pub const DEFAULT_BUDGETS: &[usize] = &[1, 2, 4, 8, 12, 16, 24, 32, 48, 64];
-
 /// One sweep sample.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepPoint {

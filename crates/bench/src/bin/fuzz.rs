@@ -8,8 +8,9 @@
 //! * `--cases N` — cases to run (default 500)
 //! * `--sim` — also run the timing-simulator oracle legs (slow)
 //! * `--no-shrink` — report raw findings without delta-debugging
-//! * `--seeded-bug pc-drain|fence` — mutate the machine on purpose
-//!   (harness self-check: the campaign *must* end dirty)
+//! * `--seeded-bug pc-drain` — let the PC store buffer drain out of
+//!   order on purpose (harness self-check: the campaign *must* end
+//!   dirty)
 //! * `--write-regressions DIR` — render each finding into `DIR` as a
 //!   replayable `.litmus` reproducer
 //!
@@ -40,8 +41,7 @@ fn main() {
             "--seeded-bug" => {
                 cfg.oracle.seeded_bug = Some(match value("--seeded-bug").as_str() {
                     "pc-drain" => SeededBug::PcDrainReorder,
-                    "fence" => SeededBug::FenceIgnoresStoreBuffer,
-                    other => panic!("--seeded-bug: unknown bug {other:?} (pc-drain|fence)"),
+                    other => panic!("--seeded-bug: unknown bug {other:?} (pc-drain)"),
                 })
             }
             "--write-regressions" => out_dir = Some(value("--write-regressions").into()),

@@ -18,7 +18,7 @@
 //!   language-level allowed-outcome enumerator;
 //! * [`lowering`] — the compiler-mapping pass from source programs to
 //!   the hardware litmus primitives, driven by a per-model
-//!   [`MappingTable`](lowering::MappingTable) that is data, not code —
+//!   [`MappingTable`] that is data, not code —
 //!   so the trisection harness can inject known-wrong mappings;
 //! * [`proofs`] — a mechanization of Proof 1 (the store-store rule of PC
 //!   under the same-stream design): for every faulting combination of two

@@ -7,7 +7,7 @@
 //! error codes. [`FaultInjector`] interprets a [`FaultPlan`] of
 //! [`FaultSpec`]s behind the *same* two seams EInject uses
 //! ([`ise_mem::FaultOracle`] for the hierarchy,
-//! [`FaultResolver`](crate::resolver::FaultResolver) for the OS), so the
+//! [`FaultResolver`] for the OS), so the
 //! hierarchy, FSBC and handler consume it unchanged.
 //!
 //! Temporal semantics, per [`FaultKind`]:
@@ -103,7 +103,7 @@ struct PageState {
 /// Like [`EInject`](crate::einject::EInject) it uses interior mutability
 /// so one injector can sit behind an `Rc` shared by the memory hierarchy
 /// (as a [`FaultOracle`]) and the OS handler (as a
-/// [`FaultResolver`](crate::resolver::FaultResolver)).
+/// [`FaultResolver`]).
 #[derive(Debug)]
 pub struct FaultInjector {
     state: RefCell<HashMap<PageId, PageState>>,
@@ -155,11 +155,6 @@ impl FaultInjector {
     /// Causes cleared by OS resolution.
     pub fn resolved_count(&self) -> u64 {
         self.resolved.get()
-    }
-
-    /// Pages whose cause has not yet cleared (ignoring window position).
-    pub fn active_pages(&self) -> usize {
-        self.state.borrow().values().filter(|s| !s.cleared).count()
     }
 
     /// Pages whose cause has cleared (healed or OS-resolved), sorted by

@@ -49,18 +49,6 @@ impl Callback {
     }
 }
 
-/// Why a callback faulted on a page.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TakoFault {
-    /// The callback's working data (dictionary, key schedule, indirection
-    /// table) for this page is not resident: a page fault inside the
-    /// accelerator.
-    CallbackPageFault,
-    /// The callback program itself trapped (e.g. corrupt compressed
-    /// block, the paper's "divide-by-zero" class).
-    CallbackTrap(Callback),
-}
-
 /// The accelerator model: a region of memory whose traffic runs through
 /// callbacks, with per-page fault state.
 #[derive(Debug)]

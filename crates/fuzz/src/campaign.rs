@@ -13,7 +13,7 @@
 //! files one report per finding kind, shrinks it and re-derives its
 //! detail from the reproducer; [`write_regressions`] is the one writer.
 
-use crate::gen::{generate, FuzzCase, GenConfig};
+use crate::gen::{FuzzCase, GenConfig};
 use crate::oracle::{check_case, Finding, FindingKind, OracleConfig};
 use crate::shrink::{shrink_while, unit_value, Dialect, Pass};
 use ise_consistency::program::{Loc, Outcome, Program, Stmt};
@@ -24,32 +24,37 @@ use ise_types::json::Json;
 use ise_types::model::{ConsistencyModel, DrainPolicy};
 use std::path::{Path, PathBuf};
 
-/// Campaign shape.
+/// Campaign shape, shared by both dialects: `G` is the generator's
+/// program-shape limits and `O` the oracle selection
+/// ([`FuzzConfig`], [`TrisectConfig`](crate::trisect::TrisectConfig)).
 #[derive(Debug, Clone, Copy)]
-pub struct FuzzConfig {
-    /// Master seed; case `i` uses `splitmix64(seed, i)`.
+pub struct CampaignConfig<G, O> {
+    /// Master seed; case `i` uses [`case_seed`]`(seed, i)`.
     pub seed: u64,
     /// Cases to run.
     pub cases: usize,
     /// Program-shape limits.
-    pub gen: GenConfig,
+    pub gen: G,
     /// Oracle selection (sim legs on/off, seeded bug for self-tests).
-    pub oracle: OracleConfig,
+    pub oracle: O,
     /// Whether findings are shrunk before reporting.
     pub shrink: bool,
 }
 
-impl Default for FuzzConfig {
+impl<G: Default, O: Default> Default for CampaignConfig<G, O> {
     fn default() -> Self {
-        FuzzConfig {
+        CampaignConfig {
             seed: 1,
             cases: 200,
-            gen: GenConfig::default(),
-            oracle: OracleConfig::default(),
+            gen: G::default(),
+            oracle: O::default(),
             shrink: true,
         }
     }
 }
+
+/// The hardware-dialect campaign shape.
+pub type FuzzConfig = CampaignConfig<GenConfig, OracleConfig>;
 
 /// The per-case seed: a splitmix64 stream over the master seed, so the
 /// mapping index → case is independent of scheduling and worker count.
@@ -68,7 +73,8 @@ pub struct CampaignFinding<C: Dialect = FuzzCase> {
     /// Campaign index of the case that found it.
     pub index: usize,
     /// The case's seed (regenerate with the dialect's generator,
-    /// [`generate`] or [`generate_src`](crate::src_gen::generate_src)).
+    /// [`generate`](crate::gen::generate) or
+    /// [`generate_src`](crate::src_gen::generate_src)).
     pub seed: u64,
     /// Which oracle pair disagreed.
     pub kind: C::Kind,
@@ -193,18 +199,46 @@ pub fn write_regressions<C: Dialect>(
         .collect()
 }
 
-#[derive(Clone)]
-struct Cell {
-    model: ConsistencyModel,
-    policy: DrainPolicy,
-    faulting: bool,
-    overlay: bool,
-    axiom_misses: u64,
-    findings: Vec<CampaignFinding>,
+/// The one campaign loop both dialects run: case `i` is generated from
+/// [`case_seed`]`(cfg.seed, i)` up front (cheap next to the oracles), the
+/// expensive oracle/shrink work is deduped by [`Dialect::content`] and
+/// split across `workers`, and each case's findings are re-stamped with
+/// its own index and seed, so the result is byte-identical to a
+/// dedupe-free run for every worker count. `fold` sees every case with
+/// its tally in index order. Returns the findings in case order and the
+/// number of cases actually evaluated.
+pub(crate) fn run_cases<C: Dialect>(
+    cfg: &CampaignConfig<C::Gen, C::Oracle>,
+    workers: usize,
+    mut fold: impl FnMut(&C, C::Tally),
+) -> (Vec<CampaignFinding<C>>, usize) {
+    let cases: Vec<(u64, C)> = (0..cfg.cases)
+        .map(|i| {
+            let seed = case_seed(cfg.seed, i);
+            (seed, C::generate(seed, &cfg.gen))
+        })
+        .collect();
+    let (oracle, shrink) = (&cfg.oracle, cfg.shrink);
+    let (cells, unique) = ise_par::par_map_dedup(
+        &cases,
+        workers,
+        |(_, case)| ise_types::persist::fnv1a(case.content().as_bytes()),
+        |index, (seed, case)| case.evaluate(index, *seed, oracle, shrink),
+    );
+    let mut findings = Vec::new();
+    for (index, ((seed, case), (tally, cell))) in cases.iter().zip(cells).enumerate() {
+        fold(case, tally);
+        findings.extend(cell.into_iter().map(|f| CampaignFinding {
+            index,
+            seed: *seed,
+            ..f
+        }));
+    }
+    (findings, unique)
 }
 
 /// Campaign results.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FuzzReport {
     /// Master seed the campaign ran with.
     pub seed: u64,
@@ -295,6 +329,10 @@ pub fn to_parsed(f: &CampaignFinding) -> ParsedLitmus {
 impl Dialect for FuzzCase {
     type Stmt = Stmt;
     type Kind = FindingKind;
+    type Gen = GenConfig;
+    type Oracle = OracleConfig;
+    /// Axiomatic allowed-set enumerations.
+    type Tally = u64;
     const PASSES: &'static [Pass<Stmt>] = &[unit_value];
     const EXT: &'static str = "litmus";
 
@@ -309,93 +347,64 @@ impl Dialect for FuzzCase {
     fn render(finding: &CampaignFinding) -> String {
         render_litmus(&to_parsed(finding))
     }
-}
 
-fn run_cell(cfg: &FuzzConfig, index: usize, seed: u64, case: &FuzzCase) -> Cell {
-    let mut batch = BatchChecker::new();
-    let findings = file_findings(index, seed, case, cfg.shrink, |c| {
-        check_case(c, &cfg.oracle, &mut batch)
-    });
-    Cell {
-        model: case.model,
-        policy: case.policy,
-        faulting: !case.faulting.is_empty(),
-        overlay: case.overlay,
-        axiom_misses: batch.misses(),
-        findings,
+    fn generate(seed: u64, gen: &GenConfig) -> Self {
+        crate::gen::generate(seed, gen)
     }
-}
 
-/// Runs the campaign on `workers` threads. The report is independent of
-/// `workers`: cases are split by stride and reduced in index order.
-///
-/// Generation runs up front (it is cheap next to the oracles), and the
-/// expensive oracle/shrink work is deduped by content hash: two seeds
-/// whose generated cases render identically share one evaluation, with
-/// the cloned findings re-stamped to each slot's own index and seed so
-/// the report is byte-identical to a dedupe-free run.
-pub fn run_campaign_with_workers(cfg: &FuzzConfig, workers: usize) -> FuzzReport {
-    let cases: Vec<(usize, u64, FuzzCase)> = (0..cfg.cases)
-        .map(|i| {
-            let seed = case_seed(cfg.seed, i);
-            (i, seed, generate(seed, &cfg.gen))
-        })
-        .collect();
-    // The key covers everything the oracles observe. `seed` is excluded
-    // — it is reporting metadata — except for overlay cases, where it
-    // seeds the transient-overlay RNG and so *is* behavior.
-    let keys: Vec<u64> = cases
-        .iter()
-        .map(|(_, _, case)| {
-            let overlay_seed = if case.overlay { case.seed } else { 0 };
-            let src = format!(
-                "{:?}\u{1f}{:?}\u{1f}{:?}\u{1f}{:?}\u{1f}{overlay_seed}",
-                case.program, case.model, case.policy, case.faulting
-            );
-            ise_types::persist::fnv1a(src.as_bytes())
-        })
-        .collect();
-    let mut slot: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
-    let mut unique: Vec<usize> = Vec::new();
-    for (i, &key) in keys.iter().enumerate() {
-        slot.entry(key).or_insert_with(|| {
-            unique.push(i);
-            unique.len() - 1
+    /// `seed` is excluded — it is reporting metadata — except for overlay
+    /// cases, where it seeds the transient-overlay RNG and so *is*
+    /// behavior.
+    fn content(&self) -> String {
+        let overlay_seed = if self.overlay { self.seed } else { 0 };
+        format!(
+            "{:?}\u{1f}{:?}\u{1f}{:?}\u{1f}{:?}\u{1f}{overlay_seed}",
+            self.program, self.model, self.policy, self.faulting
+        )
+    }
+
+    fn evaluate(
+        &self,
+        index: usize,
+        seed: u64,
+        oracle: &OracleConfig,
+        shrink: bool,
+    ) -> (u64, Vec<CampaignFinding>) {
+        let mut batch = BatchChecker::new();
+        let findings = file_findings(index, seed, self, shrink, |c| {
+            check_case(c, oracle, &mut batch)
         });
+        (batch.misses(), findings)
     }
-    let unique_cells = ise_par::par_map(&unique, workers, |_, &i| {
-        let (index, seed, case) = &cases[i];
-        run_cell(cfg, *index, *seed, case)
-    });
+}
+
+/// Runs the campaign on `workers` threads through the shared loop
+/// (`run_cases`). The report is independent of `workers`.
+pub fn run_campaign_with_workers(cfg: &FuzzConfig, workers: usize) -> FuzzReport {
     let mut report = FuzzReport {
         seed: cfg.seed,
         cases: cfg.cases,
-        unique_cases: unique.len(),
-        findings: Vec::new(),
-        model_cases: [0; 3],
-        split_stream_cases: 0,
-        faulting_cases: 0,
-        overlay_cases: 0,
-        axiom_enumerations: 0,
+        ..FuzzReport::default()
     };
-    for (index, seed, _) in &cases {
-        let mut cell = unique_cells[slot[&keys[*index]]].clone();
-        for f in &mut cell.findings {
-            f.index = *index;
-            f.seed = *seed;
-        }
-        let m = ConsistencyModel::ALL
-            .into_iter()
-            .position(|m| m == cell.model)
-            .expect("model is one of ALL");
-        report.model_cases[m] += 1;
-        report.split_stream_cases += u64::from(cell.policy == DrainPolicy::SplitStream);
-        report.faulting_cases += u64::from(cell.faulting);
-        report.overlay_cases += u64::from(cell.overlay);
-        report.axiom_enumerations += cell.axiom_misses;
-        report.findings.extend(cell.findings);
-    }
+    let (findings, unique) = run_cases(cfg, workers, |case: &FuzzCase, misses| {
+        report.model_cases[model_index(case.model)] += 1;
+        report.split_stream_cases += u64::from(case.policy == DrainPolicy::SplitStream);
+        report.faulting_cases += u64::from(!case.faulting.is_empty());
+        report.overlay_cases += u64::from(case.overlay);
+        report.axiom_enumerations += misses;
+    });
+    report.findings = findings;
+    report.unique_cases = unique;
     report
+}
+
+/// `model`'s position in [`ConsistencyModel::ALL`] (the report's
+/// per-model counter slot).
+pub(crate) fn model_index(model: ConsistencyModel) -> usize {
+    ConsistencyModel::ALL
+        .into_iter()
+        .position(|m| m == model)
+        .expect("model is one of ALL")
 }
 
 /// Runs the campaign with the default worker count

@@ -40,14 +40,13 @@ pub mod trisect;
 
 pub use campaign::{
     case_seed, file_finding, run_campaign, run_campaign_with_workers, to_parsed, write_regressions,
-    CampaignFinding, FuzzConfig, FuzzReport,
+    CampaignConfig, CampaignFinding, FuzzConfig, FuzzReport,
 };
 pub use gen::{generate, FuzzCase, GenConfig};
 pub use oracle::{check_case, Finding, FindingKind, OracleConfig};
-pub use shrink::{shrink, Dialect, ShrinkResult};
+pub use shrink::{Dialect, ShrinkResult};
 pub use src_gen::{generate_src, SrcGenConfig, TrisectCase};
 pub use trisect::{
-    check_src_case, run_trisection, run_trisection_with_workers, shrink_src, to_src_parsed,
-    SrcFinding, SrcShrinkResult, TrisectConfig, TrisectFinding, TrisectFindingKind,
-    TrisectOracleConfig, TrisectReport,
+    check_src_case, run_trisection, run_trisection_with_workers, to_src_parsed, SrcFinding,
+    TrisectConfig, TrisectFinding, TrisectFindingKind, TrisectOracleConfig, TrisectReport,
 };

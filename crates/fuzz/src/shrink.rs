@@ -29,9 +29,7 @@
 
 use crate::campaign::CampaignFinding;
 use crate::gen::FuzzCase;
-use crate::oracle::{check_case, FindingKind, OracleConfig};
 use ise_consistency::program::{Loc, Program, Statement, Stmt, StmtOp};
-use ise_consistency::BatchChecker;
 use std::fmt::Debug;
 
 /// Upper bound on oracle re-runs during one shrink.
@@ -41,16 +39,22 @@ const MAX_ATTEMPTS: usize = 10_000;
 /// when the pass does not apply.
 pub type Pass<S> = fn(&S) -> Option<S>;
 
-/// A fuzz case as the shared shrinker, finding pipeline and reproducer
-/// writer see it. [`FuzzCase`] and
+/// A fuzz case as the shared campaign loop, shrinker, finding pipeline
+/// and reproducer writer see it. [`FuzzCase`] and
 /// [`TrisectCase`](crate::src_gen::TrisectCase) implement it; they differ
-/// in statement type, extra shrink passes, finding kinds and reproducer
-/// format.
-pub trait Dialect: Clone {
+/// in generator, oracles, statement type, extra shrink passes, finding
+/// kinds and reproducer format.
+pub trait Dialect: Clone + Send + Sync {
     /// The program's statement type.
     type Stmt: Statement + 'static;
     /// The dialect's finding kinds.
-    type Kind: Copy + Ord + Debug;
+    type Kind: Copy + Ord + Debug + Send;
+    /// The generator's program-shape limits.
+    type Gen;
+    /// Oracle selection.
+    type Oracle: Sync;
+    /// Per-case checker counters the dialect's campaign report sums.
+    type Tally: Clone + Send;
     /// Per-statement simplifications tried after dropping dependencies,
     /// one pass over every statement each, in order.
     const PASSES: &'static [Pass<Self::Stmt>];
@@ -64,6 +68,20 @@ pub trait Dialect: Clone {
     fn kind_name(kind: Self::Kind) -> &'static str;
     /// Renders a finding as reproducer text.
     fn render(finding: &CampaignFinding<Self>) -> String;
+    /// Generates the case for one per-case seed.
+    fn generate(seed: u64, gen: &Self::Gen) -> Self;
+    /// Everything the oracles observe of the case: the campaign loop
+    /// evaluates equal contents once.
+    fn content(&self) -> String;
+    /// Checks the case and files its findings as campaign case `index`
+    /// with per-case `seed`, returning them with the checker counters.
+    fn evaluate(
+        &self,
+        index: usize,
+        seed: u64,
+        oracle: &Self::Oracle,
+        shrink: bool,
+    ) -> (Self::Tally, Vec<CampaignFinding<Self>>);
 }
 
 /// A shrunk reproducer.
@@ -190,18 +208,6 @@ pub fn shrink_while<C: Dialect>(
     }
 }
 
-/// Shrinks `case` while `kind` still reproduces under `oracle`.
-pub fn shrink(
-    case: &FuzzCase,
-    kind: FindingKind,
-    oracle: &OracleConfig,
-    batch: &mut BatchChecker,
-) -> ShrinkResult {
-    shrink_while(case, |c| {
-        check_case(c, oracle, batch).iter().any(|f| f.kind == kind)
-    })
-}
-
 /// Rewrites a stored value or AMO addend to 1 — the hardware dialect's
 /// one statement pass.
 pub(crate) fn unit_value(s: &Stmt) -> Option<Stmt> {
@@ -216,7 +222,9 @@ pub(crate) fn unit_value(s: &Stmt) -> Option<Stmt> {
 mod tests {
     use super::*;
     use crate::gen::{generate, GenConfig};
+    use crate::oracle::{check_case, FindingKind, OracleConfig};
     use ise_consistency::program::LitmusProgram;
+    use ise_consistency::BatchChecker;
     use ise_litmus::machine::SeededBug;
     use ise_types::instr::Reg;
 
@@ -289,7 +297,11 @@ mod tests {
             })
             .expect("no seed exposes the bug");
         let case = generate(seed, &gen_cfg);
-        let shrunk = shrink(&case, FindingKind::AxiomViolation, &oracle, &mut batch);
+        let shrunk = shrink_while(&case, |c| {
+            check_case(c, &oracle, &mut batch)
+                .iter()
+                .any(|f| f.kind == FindingKind::AxiomViolation)
+        });
         // The PC drain-reorder bug is a two-thread, message-passing-shaped
         // race: the minimal reproducer is small.
         assert!(

@@ -23,15 +23,18 @@
 //!    post-run invariants must hold, exactly as in the differential
 //!    campaign ([`oracle`](crate::oracle)).
 //!
-//! Findings go through the same pipeline as hardware findings
-//! ([`file_findings`]): the one greedy-with-restart shrinker
-//! ([`shrink_while`]), plus a source-only pass that weakens a memory
-//! order (`seq_cst → release/acquire`, `release/acquire → relaxed`) —
-//! so a reproducer keeps only the annotations the bug actually needs.
+//! Findings go through the same campaign loop and pipeline as hardware
+//! findings (`campaign::run_cases`, [`file_findings`]): the one
+//! greedy-with-restart shrinker ([`crate::shrink::shrink_while`]), plus
+//! a source-only pass that weakens a memory order (`seq_cst →
+//! release/acquire`, `release/acquire → relaxed`) — so a reproducer
+//! keeps only the annotations the bug actually needs.
 
-use crate::campaign::{add_findings, file_findings, CampaignFinding};
+use crate::campaign::{
+    add_findings, file_findings, model_index, run_cases, CampaignConfig, CampaignFinding,
+};
 use crate::oracle::{sim_leg, Finding};
-use crate::shrink::{shrink_while, Dialect, Pass, ShrinkResult};
+use crate::shrink::{Dialect, Pass};
 use crate::src_gen::{generate_src, SrcGenConfig, TrisectCase};
 use ise_consistency::program::{Loc, Outcome, Program};
 use ise_consistency::source::{MemOrder, SrcOp, SrcStmt};
@@ -194,9 +197,6 @@ pub fn check_src_case(
 // Shrinking.
 // ---------------------------------------------------------------------
 
-/// A shrunk trisection reproducer.
-pub type SrcShrinkResult = ShrinkResult<TrisectCase>;
-
 /// One order-weakening step (`seq_cst → release/acquire`,
 /// `release/acquire → relaxed`), or `None` if the statement is already
 /// at its weakest legal order. An acquire/release fence is already the
@@ -229,6 +229,10 @@ fn unit_value(s: &SrcStmt) -> Option<SrcStmt> {
 impl Dialect for TrisectCase {
     type Stmt = SrcStmt;
     type Kind = TrisectFindingKind;
+    type Gen = SrcGenConfig;
+    type Oracle = TrisectOracleConfig;
+    /// Language-level and hardware-level allowed-set enumerations.
+    type Tally = [u64; 2];
     const PASSES: &'static [Pass<SrcStmt>] = &[weakened, unit_value];
     const EXT: &'static str = "srclitmus";
 
@@ -243,21 +247,35 @@ impl Dialect for TrisectCase {
     fn render(finding: &TrisectFinding) -> String {
         render_src_litmus(&to_src_parsed(finding))
     }
-}
 
-/// Shrinks `case` while `kind` still reproduces under `oracle`.
-pub fn shrink_src(
-    case: &TrisectCase,
-    kind: TrisectFindingKind,
-    oracle: &TrisectOracleConfig,
-    hw: &mut BatchChecker,
-    lang: &mut SrcBatchChecker,
-) -> SrcShrinkResult {
-    shrink_while(case, |c| {
-        check_src_case(c, oracle, hw, lang)
-            .iter()
-            .any(|f| f.kind == kind)
-    })
+    fn generate(seed: u64, gen: &SrcGenConfig) -> Self {
+        generate_src(seed, gen)
+    }
+
+    /// `seed` only matters to overlay cases (it seeds the transient
+    /// overlay), as in the hardware dialect.
+    fn content(&self) -> String {
+        let overlay_seed = if self.overlay { self.seed } else { 0 };
+        format!(
+            "{:?}\u{1f}{:?}\u{1f}{:?}\u{1f}{overlay_seed}",
+            self.program, self.model, self.faulting
+        )
+    }
+
+    fn evaluate(
+        &self,
+        index: usize,
+        seed: u64,
+        oracle: &TrisectOracleConfig,
+        shrink: bool,
+    ) -> ([u64; 2], Vec<TrisectFinding>) {
+        let mut hw = BatchChecker::new();
+        let mut lang = SrcBatchChecker::new();
+        let findings = file_findings(index, seed, self, shrink, |c| {
+            check_src_case(c, oracle, &mut hw, &mut lang)
+        });
+        ([lang.misses(), hw.misses()], findings)
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -265,49 +283,15 @@ pub fn shrink_src(
 // ---------------------------------------------------------------------
 
 /// Trisection campaign shape.
-#[derive(Debug, Clone, Copy)]
-pub struct TrisectConfig {
-    /// Master seed; case `i` uses
-    /// [`case_seed`](crate::campaign::case_seed)`(seed, i)`.
-    pub seed: u64,
-    /// Cases to run.
-    pub cases: usize,
-    /// Source-program shape limits.
-    pub gen: SrcGenConfig,
-    /// Oracle selection (sim leg on/off, injected mapping bug).
-    pub oracle: TrisectOracleConfig,
-    /// Whether findings are shrunk before reporting.
-    pub shrink: bool,
-}
-
-impl Default for TrisectConfig {
-    fn default() -> Self {
-        TrisectConfig {
-            seed: 1,
-            cases: 200,
-            gen: SrcGenConfig::default(),
-            oracle: TrisectOracleConfig::default(),
-            shrink: true,
-        }
-    }
-}
+pub type TrisectConfig = CampaignConfig<SrcGenConfig, TrisectOracleConfig>;
 
 /// One reported (and possibly shrunk) trisection finding; `outcomes`
 /// holds the language-forbidden-but-exhibited outcomes of the shrunk
 /// case (escape kinds only).
 pub type TrisectFinding = CampaignFinding<TrisectCase>;
 
-struct Cell {
-    model: ConsistencyModel,
-    faulting: bool,
-    overlay: bool,
-    lang_misses: u64,
-    hw_misses: u64,
-    findings: Vec<TrisectFinding>,
-}
-
 /// Trisection campaign results.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TrisectReport {
     /// Master seed the campaign ran with.
     pub seed: u64,
@@ -364,52 +348,22 @@ pub fn to_src_parsed(f: &TrisectFinding) -> ParsedSrcLitmus {
     }
 }
 
-fn run_cell(cfg: &TrisectConfig, index: usize) -> Cell {
-    let seed = crate::campaign::case_seed(cfg.seed, index);
-    let case = generate_src(seed, &cfg.gen);
-    let mut hw = BatchChecker::new();
-    let mut lang = SrcBatchChecker::new();
-    let findings = file_findings(index, seed, &case, cfg.shrink, |c| {
-        check_src_case(c, &cfg.oracle, &mut hw, &mut lang)
-    });
-    Cell {
-        model: case.model,
-        faulting: !case.faulting.is_empty(),
-        overlay: case.overlay,
-        lang_misses: lang.misses(),
-        hw_misses: hw.misses(),
-        findings,
-    }
-}
-
-/// Runs the trisection campaign on `workers` threads. The report is
-/// independent of `workers`: cases are split by stride and reduced in
-/// index order.
+/// Runs the trisection campaign on `workers` threads through the shared
+/// loop (`run_cases`). The report is independent of `workers`.
 pub fn run_trisection_with_workers(cfg: &TrisectConfig, workers: usize) -> TrisectReport {
-    let indices: Vec<usize> = (0..cfg.cases).collect();
-    let cells = ise_par::par_map(&indices, workers, |_, &i| run_cell(cfg, i));
     let mut report = TrisectReport {
         seed: cfg.seed,
         cases: cfg.cases,
-        findings: Vec::new(),
-        model_cases: [0; 3],
-        faulting_cases: 0,
-        overlay_cases: 0,
-        lang_enumerations: 0,
-        hw_enumerations: 0,
+        ..TrisectReport::default()
     };
-    for cell in cells {
-        let m = ConsistencyModel::ALL
-            .into_iter()
-            .position(|m| m == cell.model)
-            .expect("model is one of ALL");
-        report.model_cases[m] += 1;
-        report.faulting_cases += u64::from(cell.faulting);
-        report.overlay_cases += u64::from(cell.overlay);
-        report.lang_enumerations += cell.lang_misses;
-        report.hw_enumerations += cell.hw_misses;
-        report.findings.extend(cell.findings);
-    }
+    let (findings, _) = run_cases(cfg, workers, |case: &TrisectCase, [lang, hw]| {
+        report.model_cases[model_index(case.model)] += 1;
+        report.faulting_cases += u64::from(!case.faulting.is_empty());
+        report.overlay_cases += u64::from(case.overlay);
+        report.lang_enumerations += lang;
+        report.hw_enumerations += hw;
+    });
+    report.findings = findings;
     report
 }
 
@@ -422,6 +376,7 @@ pub fn run_trisection(cfg: &TrisectConfig) -> TrisectReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shrink::shrink_while;
     use ise_consistency::program::Loc;
     use ise_consistency::source::SrcProgram;
     use ise_litmus::parse_src_litmus;
@@ -509,13 +464,11 @@ mod tests {
         let mut hw = BatchChecker::new();
         let mut lang = SrcBatchChecker::new();
         let case = mp_case(ConsistencyModel::Wc);
-        let shrunk = shrink_src(
-            &case,
-            TrisectFindingKind::LanguageAxiomEscape,
-            &oracle,
-            &mut hw,
-            &mut lang,
-        );
+        let shrunk = shrink_while(&case, |c| {
+            check_src_case(c, &oracle, &mut hw, &mut lang)
+                .iter()
+                .any(|f| f.kind == TrisectFindingKind::LanguageAxiomEscape)
+        });
         assert!(shrunk.case.program.threads.len() <= 2);
         assert!(shrunk.case.program.len() <= 4, "{:?}", shrunk.case.program);
         // Still reproduces.

@@ -9,7 +9,7 @@
 //! the paper studies.
 //!
 //! Directory state lives in an open-addressed struct-of-arrays table
-//! ([`LineTable`]) keyed by line index — dense arrays probed linearly, no
+//! (`LineTable`) keyed by line index — dense arrays probed linearly, no
 //! per-entry boxing — and write actions carry the victim set as a
 //! [`SharerSet`] bit mask instead of an allocated list, so a directory
 //! transition on the hot path performs no heap allocation.

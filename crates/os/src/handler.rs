@@ -132,7 +132,7 @@ pub struct OsKernel {
 /// `retry_backoff_base`, saturating at `u64::MAX` instead of shifting
 /// past the value's width (an attacker-chosen base/budget pair must not
 /// overflow into a *tiny* backoff, and a shift ≥ 64 is outright UB).
-/// With [`RecoveryHardening::jittered_backoff`] set, a deterministic
+/// With [`RecoveryHardening::jittered_backoff`](ise_types::config::RecoveryHardening::jittered_backoff) set, a deterministic
 /// per-(core, addr, attempt) jitter in `[0, base)` is added so that
 /// colliding victims do not re-issue in lockstep.
 ///
@@ -286,9 +286,10 @@ impl OsKernel {
         self.handle_imprecise_chunk(core, fsb, resolver, mem, now, monitor, false)
     }
 
-    /// [`handle_imprecise`] with explicit chunk position: `continuation`
-    /// marks an invocation past the first chunk of one early-drain
-    /// episode. With [`RecoveryHardening::chunk_continuation`] set,
+    /// [`handle_imprecise`](Self::handle_imprecise) with explicit chunk
+    /// position: `continuation` marks an invocation past the first chunk
+    /// of one early-drain episode. With
+    /// [`RecoveryHardening::chunk_continuation`](ise_types::config::RecoveryHardening::chunk_continuation) set,
     /// continuations re-enter through a warm handler path and pay only
     /// `dispatch_overhead / 8` — the episode state is already pinned, so
     /// the full dispatch/context-switch bill would be pure stall

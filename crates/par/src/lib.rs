@@ -28,6 +28,8 @@
 
 #![deny(missing_docs)]
 
+use std::collections::HashMap;
+use std::hash::Hash;
 use std::num::NonZeroUsize;
 use std::panic;
 use std::thread;
@@ -114,6 +116,43 @@ where
         .collect()
 }
 
+/// [`par_map`] that evaluates each distinct key once: `key` runs on the
+/// calling thread in input order, `f` runs on the first item carrying
+/// each key (receiving that item's index), and every later item with an
+/// equal key gets a clone of that result.
+///
+/// Returns the results in input order plus the number of distinct keys
+/// (the evaluations actually run). Equal keys must mean equal results;
+/// callers key by the full content the evaluation observes.
+pub fn par_map_dedup<T, K, R, F>(
+    items: &[T],
+    workers: usize,
+    mut key: impl FnMut(&T) -> K,
+    f: F,
+) -> (Vec<R>, usize)
+where
+    T: Sync,
+    K: Hash + Eq,
+    R: Clone + Send,
+    F: Fn(usize, &T) -> R + Sync,
+{
+    let mut slot_of: HashMap<K, usize> = HashMap::new();
+    let mut firsts: Vec<usize> = Vec::new();
+    let slots: Vec<usize> = items
+        .iter()
+        .enumerate()
+        .map(|(i, item)| {
+            *slot_of.entry(key(item)).or_insert_with(|| {
+                firsts.push(i);
+                firsts.len() - 1
+            })
+        })
+        .collect();
+    let unique = par_map(&firsts, workers, |_, &i| f(i, &items[i]));
+    let results = slots.into_iter().map(|s| unique[s].clone()).collect();
+    (results, firsts.len())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,6 +200,29 @@ mod tests {
         .expect_err("panic must propagate");
         let msg = err.downcast_ref::<String>().expect("string panic payload");
         assert!(msg.contains("poisoned item"), "got: {msg}");
+    }
+
+    #[test]
+    fn dedup_evaluates_each_key_once_and_replicates_in_order() {
+        let hits = AtomicUsize::new(0);
+        let items = [3, 1, 3, 2, 1, 3];
+        for workers in [1, 2, 4] {
+            hits.store(0, Ordering::Relaxed);
+            let (out, unique) = par_map_dedup(
+                &items,
+                workers,
+                |&x| x,
+                |i, &x| {
+                    hits.fetch_add(1, Ordering::Relaxed);
+                    (i, x * 10)
+                },
+            );
+            assert_eq!(unique, 3);
+            assert_eq!(hits.load(Ordering::Relaxed), 3, "workers={workers}");
+            // Each result comes from the first item with that key.
+            let expect = vec![(0, 30), (1, 10), (0, 30), (3, 20), (1, 10), (0, 30)];
+            assert_eq!(out, expect, "workers={workers}");
+        }
     }
 
     #[test]

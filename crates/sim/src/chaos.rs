@@ -3,32 +3,18 @@
 //! A campaign takes the workloads' own faulting pages, replaces EInject
 //! with a [`FaultInjector`] interpreting a richer [`FaultKind`] — see
 //! `ise-core`'s fault layer — and sweeps fault **kind** × injection
-//! **rate** × **workload**. After every run it asserts the three
-//! invariants the recovery paths are supposed to preserve:
-//!
-//! 1. **Store conservation** — no store is lost silently: for every
-//!    surviving core, every store its trace retires is accounted for as
-//!    drained to memory, coalesced in the store buffer, or applied by
-//!    the OS. (Killed processes are excluded: discarding their stores is
-//!    the *documented* outcome of an irrecoverable fault.)
-//! 2. **FSB drained** — every ring ends with head == tail; the handler
-//!    never leaves entries stranded, even across early-drain chunks.
-//! 3. **Ordering contract** — the recorded DETECT/PUT/GET/S_OS/RESOLVE
-//!    stream satisfies the Table 5 axioms for the run's consistency
-//!    model.
-//!
-//! Plus the containment layer shared with the adversary campaign (see
-//! [`crate::invariants`]): GET-is-a-prefix-of-PUT per ring, killed-core
-//! conservation through the discard ledger, telemetry store-count
-//! agreement, and the applied-visibility audit that catches a kernel
-//! recording `S_OS` for a store memory never received.
+//! **rate** × **workload**. Every cell is a [`FaultCell`], so every
+//! completed run passes the one campaign audit ([`crate::invariants`]):
+//! completion, store conservation on surviving cores, FSB rings drained,
+//! the Table 5 ordering contract, the containment checks and the
+//! applied-visibility audit, whose findings chaos appends to the cell's
+//! violations.
 //!
 //! The campaign is deterministic: the same [`ChaosConfig::seed`] yields
 //! a byte-identical JSON report.
 
-use crate::invariants;
-use crate::system::System;
-use ise_core::{FaultInjector, FaultPlan, FaultResolver};
+use crate::cell::FaultCell;
+use ise_core::{FaultInjector, FaultPlan};
 use ise_engine::{Cycle, SimRng};
 use ise_telemetry::{Registry, TraceEventKind};
 use ise_types::config::SystemConfig;
@@ -36,7 +22,6 @@ use ise_types::{FaultKind, FaultSpec, Json, ToJson};
 use ise_workloads::stats::touched_pages;
 use ise_workloads::Workload;
 use std::collections::HashSet;
-use std::rc::Rc;
 
 /// Sweep parameters of one campaign.
 #[derive(Debug, Clone)]
@@ -233,20 +218,10 @@ impl ChaosCampaign {
         )
     }
 
-    /// Keys one cell by the FNV-1a hash of its boot snapshot: the full
-    /// serialized machine state (workload identity, armed fault plan
-    /// including specs, RNG positions) before the first cycle. Equal
-    /// keys mean equal trajectories, so the campaign evaluates each key
-    /// once.
-    fn cell_key(&self, workload: &Workload, kind: FaultKind, rate: f64, seed: u64) -> u64 {
-        let (sys, _, _) = self.build_cell(workload, kind, rate, seed);
-        ise_types::persist::fnv1a(&sys.snapshot())
-    }
-
     /// [`run`](ChaosCampaign::run) with an explicit worker count.
     ///
     /// Every cell is fully independent — it seeds its own RNG stream and
-    /// builds its own [`System`] — and results are reduced in sweep
+    /// builds its own machine — and results are reduced in sweep
     /// order, so the report (and its JSON rendering) is byte-identical
     /// for every worker count. Cells whose boot snapshots hash equal
     /// (duplicate sweep entries) are simulated once and their result
@@ -266,26 +241,21 @@ impl ChaosCampaign {
                 }
             }
         }
-        // Snapshot-hash dedupe: identical cells evaluate once.
-        let keys: Vec<u64> = cells
-            .iter()
-            .map(|&(wi, kind, rate, seed)| self.cell_key(&workloads[wi], kind, rate, seed))
-            .collect();
-        let mut slot: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
-        let mut unique = Vec::new();
-        for (cell, &key) in cells.iter().zip(&keys) {
-            slot.entry(key).or_insert_with(|| {
-                unique.push(*cell);
-                unique.len() - 1
-            });
-        }
-        let unique_runs = ise_par::par_map(&unique, workers, |_, &(wi, kind, rate, cell_seed)| {
-            self.run_cell(&workloads[wi], kind, rate, cell_seed)
-        });
-        let runs = keys.iter().map(|k| unique_runs[slot[k]].clone()).collect();
+        // Snapshot-hash dedupe: a cell is keyed by the FNV-1a hash of its
+        // boot snapshot (workload identity, armed fault plan, RNG
+        // positions), so equal keys mean equal trajectories.
+        let (runs, unique_cells) = ise_par::par_map_dedup(
+            &cells,
+            workers,
+            |&(wi, kind, rate, seed)| {
+                let (cell, _) = self.build_cell(&workloads[wi], kind, rate, seed);
+                ise_types::persist::fnv1a(&cell.sys.snapshot())
+            },
+            |_, &(wi, kind, rate, seed)| self.run_cell(&workloads[wi], kind, rate, seed, None).0,
+        );
         ChaosReport {
             seed: self.chaos.seed,
-            unique_cells: unique.len(),
+            unique_cells,
             runs,
         }
     }
@@ -306,25 +276,22 @@ impl ChaosCampaign {
         capacity: usize,
     ) -> (ChaosRun, Json) {
         let cell_seed = self.cell_seed(workload, kind, rate);
-        let (run, trace) = self.run_cell_traced(workload, kind, rate, cell_seed, Some(capacity));
+        let (run, trace) = self.run_cell(workload, kind, rate, cell_seed, Some(capacity));
         (run, trace.expect("tracing was requested"))
     }
 
-    fn run_cell(&self, workload: &Workload, kind: FaultKind, rate: f64, seed: u64) -> ChaosRun {
-        self.run_cell_traced(workload, kind, rate, seed, None).0
-    }
-
     /// Builds one sweep cell up to (but not including) its first cycle:
-    /// the quiet workload's [`System`] armed with the cell's fault plan.
-    /// Both the run path and the snapshot-hash dedupe key start here, so
-    /// the key hashes exactly the state the run evolves from.
-    fn build_cell(
+    /// the workload armed with the cell's fault plan, plus the pages the
+    /// plan injects. Both the run path and the snapshot-hash dedupe key
+    /// start here, so the key hashes exactly the state the run evolves
+    /// from.
+    fn build_cell<'w>(
         &self,
-        workload: &Workload,
+        workload: &'w Workload,
         kind: FaultKind,
         rate: f64,
         seed: u64,
-    ) -> (System, Rc<FaultInjector>, Vec<ise_types::PageId>) {
+    ) -> (FaultCell<'w>, Vec<ise_types::PageId>) {
         // Sample from the declared pages the traces actually reach —
         // regions are reserved generously, and injecting only cold pages
         // would make the whole sweep vacuous.
@@ -351,25 +318,12 @@ impl ChaosCampaign {
             .into_iter()
             .map(|i| pool[i])
             .collect();
-        let injector: Rc<FaultInjector> = Rc::new(
-            FaultPlan::new(seed ^ 0xF417)
-                .pages(picked.iter().copied(), FaultSpec::bus_error(kind))
-                .build(),
-        );
-
-        // EInject stays inert: the injector is the only fault source.
-        let mut quiet = workload.clone();
-        quiet.einject_pages.clear();
-        let sys = System::with_fault_sources(
-            self.cfg,
-            &quiet,
-            vec![injector.clone() as Rc<dyn FaultResolver>],
-        )
-        .with_contract_monitor();
-        (sys, injector, picked)
+        let plan =
+            FaultPlan::new(seed ^ 0xF417).pages(picked.iter().copied(), FaultSpec::bus_error(kind));
+        (FaultCell::build(self.cfg, workload, Some(plan)), picked)
     }
 
-    fn run_cell_traced(
+    fn run_cell(
         &self,
         workload: &Workload,
         kind: FaultKind,
@@ -377,43 +331,32 @@ impl ChaosCampaign {
         seed: u64,
         trace_capacity: Option<usize>,
     ) -> (ChaosRun, Option<Json>) {
-        let (mut sys, injector, picked) = self.build_cell(workload, kind, rate, seed);
-        let k = picked.len();
+        let (mut cell, picked) = self.build_cell(workload, kind, rate, seed);
         if let Some(cap) = trace_capacity {
-            sys = sys.with_trace(cap);
+            cell.sys = cell.sys.with_trace(cap);
             for &page in &picked {
-                sys.record_event(0, TraceEventKind::FaultActivated { page: page.index() });
+                cell.sys
+                    .record_event(0, TraceEventKind::FaultActivated { page: page.index() });
             }
         }
-        let budget = match ise_engine::cell_budget() {
-            Some(cap) => self.chaos.max_cycles.min(cap),
-            None => self.chaos.max_cycles,
-        };
-        let skip = ise_engine::skip_clock(&self.cfg);
-        let (stats, timed_out) = sys.run_bounded(budget, skip);
-
-        // A timed-out cell is reported, not audited: conservation and
-        // contract checks only make sense over a completed run.
-        let violations = if timed_out {
-            Vec::new()
-        } else {
-            invariants::all_violations(&sys, workload, &stats)
-        };
-
-        let trace = if trace_capacity.is_some() {
+        let run = cell.run(self.chaos.max_cycles, ise_engine::skip_clock(&self.cfg));
+        let injector: &FaultInjector = cell.injector.as_ref().expect("chaos cells are armed");
+        let trace = trace_capacity.map(|_| {
             for page in injector.cleared_pages() {
-                sys.record_event(0, TraceEventKind::FaultCleared { page: page.index() });
+                cell.sys
+                    .record_event(0, TraceEventKind::FaultCleared { page: page.index() });
             }
-            Some(sys.trace_json())
-        } else {
-            None
-        };
+            cell.sys.trace_json()
+        });
 
+        let stats = run.stats;
+        let mut violations = run.audit.violations;
+        violations.extend(run.audit.corruption);
         let run = ChaosRun {
             workload: workload.name.clone(),
             kind,
             rate,
-            pages_injected: k,
+            pages_injected: picked.len(),
             cycles: stats.cycles,
             imprecise_exceptions: stats.imprecise_exceptions,
             stores_applied: stats.stores_applied,
@@ -423,7 +366,7 @@ impl ChaosCampaign {
             early_drain_interrupts: stats.early_drain_interrupts,
             fsb_high_water_mark: stats.fsb_high_water_mark,
             killed: stats.killed,
-            timed_out,
+            timed_out: run.timed_out,
             violations,
         };
         (run, trace)

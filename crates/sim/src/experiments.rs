@@ -289,22 +289,10 @@ pub fn fig5_demand_paging_with_workers(
     workers: usize,
 ) -> Vec<Fig5IoRow> {
     ise_par::par_map(page_counts, workers, |_, &pages| {
-        let mb = microbench(&MicrobenchConfig {
-            stores_per_iter: 10_000,
-            iterations: 1,
-            array_bytes: 4 << 20,
-            faulting_pages_per_iter: pages,
-            seed: 99,
-        });
-        let workload = Workload {
-            name: format!("mbench-io-{pages}"),
-            traces: vec![mb.iterations[0].trace.clone()],
-            einject_pages: mb.iterations[0].faulting_pages.clone(),
-        };
-        let mut cfg = SystemConfig::isca23();
-        cfg.noc.mesh_x = 2;
-        cfg.noc.mesh_y = 1;
-        cfg.cores = 1;
+        let (cfg, mut workload) = fig5_cell(pages);
+        // Its own name keeps the system identity (checkpoint file names)
+        // apart from the plain Fig. 5 cell's.
+        workload.name = format!("mbench-io-{pages}");
         let mut sys = System::new(cfg, &workload).with_demand_paging_io(io_latency);
         let stats = sys.run(MAX_CYCLES);
         Fig5IoRow {
@@ -603,18 +591,6 @@ pub fn fig2() -> Fig2Result {
         same_stream_clean: !same.outcomes.contains(&violation),
         states: (split.states, same.states),
     }
-}
-
-// ---------------------------------------------------------------------
-// Microbenchmark batching ablation (supports Fig. 5's narrative)
-// ---------------------------------------------------------------------
-
-/// Result of a single-workload contract audit: run a faulting store
-/// workload with the monitor on and report the verdict.
-pub fn audit_contract(workload: &Workload, cfg: SystemConfig) -> Result<(), String> {
-    let mut sys = System::new(cfg, workload).with_contract_monitor();
-    sys.run(MAX_CYCLES);
-    sys.check_contract().map_err(|v| v.to_string())
 }
 
 #[cfg(test)]

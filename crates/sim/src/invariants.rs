@@ -1,29 +1,33 @@
-//! The shared invariant set for fault campaigns (chaos, fuzz, adversary).
+//! The one post-run audit every fault campaign runs. Chaos sweeps, the
+//! adversary and the litmus timing-sim leg reach it through
+//! [`crate::cell::FaultCell::run`], so a run is judged by the same rules
+//! whichever harness produced it. In order:
 //!
-//! Three layers, each returning human-readable violation strings in a
-//! deterministic order (empty = all held):
+//! 1. **Completion** — unless a process was killed, every instruction
+//!    of the workload retired.
+//! 2. **Store conservation** — every store a surviving core's trace
+//!    retires is drained to memory, coalesced in the store buffer, or
+//!    applied by the OS.
+//! 3. **FSB drained** — every ring ends with head == tail.
+//! 4. **Ordering contract** — the recorded DETECT/PUT/GET/S_OS/RESOLVE
+//!    stream satisfies the Table 5 axioms for the run's model.
+//! 5. **Containment** — each core's FSB GET stream is a prefix of its
+//!    PUT stream (no cross-process leak through a shared ring), killed
+//!    cores conserve stores through the discard ledger, and the three
+//!    telemetry store tallies agree.
 //!
-//! * [`standard_violations`] — the original chaos-campaign trio: store
-//!   conservation on surviving cores, every FSB ring drained, and the
-//!   Table 5 ordering contract.
-//! * [`containment_violations`] — the recovery-path containment checks
-//!   the adversary campaign added: the GET stream of every core's FSB is
-//!   a prefix of its PUT stream (no cross-process value leak through a
-//!   shared ring), kill paths leave no store unaccounted (killed-core
-//!   conservation closes through the discard ledger), and post-recovery
-//!   telemetry conserves store counts across its three independent
-//!   tallies.
-//! * [`applied_visibility_violations`] — the architectural-corruption
-//!   audit: for every address, the *last* `S_OS` the kernel recorded
-//!   must actually be visible (mask-aware) in final functional memory.
-//!   Tautological for an honest kernel, which writes memory before
-//!   recording the event; it fires exactly when a kernel *lies* — e.g.
-//!   the unhardened recovery config that silently drops a store on retry
-//!   exhaustion while still reporting it applied.
+//! Conservation and containment count store-buffer traffic, so both are
+//! skipped when the model has no store buffer (SC): there the buffer
+//! terms are structurally zero.
 //!
-//! The functions take the post-run [`System`] (plus the workload/stats
-//! where needed) rather than doing their own bookkeeping, so every
-//! campaign audits the same state the run actually produced.
+//! **Applied visibility** is returned separately ([`Audit::corruption`]):
+//! the *last* `S_OS` recorded for each address must be visible
+//! (mask-aware) in final functional memory. An honest kernel writes
+//! memory before recording the event, so this fires exactly when a
+//! kernel *lies* — e.g. the unhardened recovery config that silently
+//! drops a store on retry exhaustion while still reporting it applied.
+//! The adversary scores it as corruption; chaos and the litmus leg append
+//! it to the violations.
 
 use crate::system::{System, SystemStats};
 use ise_core::OrderEvent;
@@ -32,17 +36,35 @@ use ise_types::{CoreId, InstrKind};
 use ise_workloads::Workload;
 use std::collections::{BTreeMap, HashMap};
 
-/// The original chaos-campaign invariants: store conservation on
-/// surviving cores, FSB rings drained, ordering contract.
+/// What the audit found on one completed run.
+#[derive(Debug, Clone, Default)]
+pub struct Audit {
+    /// Completion, conservation, FSB-drain, contract and containment
+    /// violations, in that order (empty = all held).
+    pub violations: Vec<String>,
+    /// Applied-visibility findings, one per corrupted address in address
+    /// order (non-empty = architectural corruption).
+    pub corruption: Vec<String>,
+}
+
+/// Audits a completed run of `workload` on `sys` (see the module docs).
 ///
 /// # Panics
 ///
 /// Panics if the system was built without a contract monitor.
-pub fn standard_violations(sys: &System, workload: &Workload, stats: &SystemStats) -> Vec<String> {
+pub fn audit(sys: &System, workload: &Workload, stats: &SystemStats) -> Audit {
     let mut violations = Vec::new();
-    // 1. Store conservation on surviving cores.
+    if stats.retired() != workload.total_instructions() as u64 && stats.killed == 0 {
+        violations.push(format!(
+            "run did not complete: {} of {} instructions retired in {} cycles",
+            stats.retired(),
+            workload.total_instructions(),
+            stats.cycles,
+        ));
+    }
+    let has_sb = sys.cfg.core.model.has_store_buffer();
     for (i, trace) in workload.traces.iter().enumerate() {
-        if sys.process_killed(i) {
+        if !has_sb || sys.process_killed(i) {
             continue;
         }
         let retired_stores = trace
@@ -61,22 +83,25 @@ pub fn standard_violations(sys: &System, workload: &Workload, stats: &SystemStat
             ));
         }
     }
-    // 2. Every FSB drained to head == tail.
     if !sys.fsbs_empty() {
         violations.push("an FSB ring ended with head != tail".to_string());
     }
-    // 3. The ordering contract for the run's consistency model.
     if let Err(v) = sys.check_contract() {
         violations.push(format!("ordering contract violated: {v:?}"));
     }
-    violations
+    if has_sb {
+        containment(sys, stats, &mut violations);
+    }
+    Audit {
+        violations,
+        corruption: applied_visibility(sys),
+    }
 }
 
-/// The recovery-path containment invariants (see module docs). All three
-/// hold on every legal run, hardened or not — a violation means a
-/// recovery path mishandled state, not merely that a fault occurred.
-pub fn containment_violations(sys: &System, stats: &SystemStats) -> Vec<String> {
-    let mut violations = Vec::new();
+/// The containment checks (see module docs). All three hold on every
+/// legal run, hardened or not — a violation means a recovery path
+/// mishandled state, not merely that a fault occurred.
+fn containment(sys: &System, stats: &SystemStats, violations: &mut Vec<String>) {
     // 1. No cross-process value leak through a shared FSB: each core's
     //    GET stream is a prefix of its PUT stream. (Kill paths pop the
     //    drained remainder without recording GETs, so a strict prefix is
@@ -156,14 +181,11 @@ pub fn containment_violations(sys: &System, stats: &SystemStats) -> Vec<String> 
             sys.os_kernel().counters().processes_killed
         ));
     }
-    violations
 }
 
 /// The applied-visibility audit: every address's *last* recorded `S_OS`
-/// must be visible, mask-aware, in final functional memory. Returns one
-/// violation per corrupted address, in address order. Empty when the
-/// system has no contract monitor (nothing to audit against).
-pub fn applied_visibility_violations(sys: &System) -> Vec<String> {
+/// must be visible, mask-aware, in final functional memory.
+fn applied_visibility(sys: &System) -> Vec<String> {
     let Some(log) = sys.contract_log() else {
         return Vec::new();
     };
@@ -201,13 +223,4 @@ pub fn applied_visibility_violations(sys: &System) -> Vec<String> {
         }
     }
     violations
-}
-
-/// All three layers concatenated, in severity-stable order — the full
-/// invariant set every adversary objective evaluation runs.
-pub fn all_violations(sys: &System, workload: &Workload, stats: &SystemStats) -> Vec<String> {
-    let mut v = standard_violations(sys, workload, stats);
-    v.extend(containment_violations(sys, stats));
-    v.extend(applied_visibility_violations(sys));
-    v
 }

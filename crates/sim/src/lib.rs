@@ -14,10 +14,11 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 
 //!
-//! [`chaos`] adds the fault-injection campaign runner: sweeps of fault
-//! kind × rate × workload through `ise-core`'s [`chaos
-//! layer`](ise_core::faults), with store-conservation, FSB-drain and
-//! ordering-contract invariants checked after every run.
+//! [`cell`] is the one fault-campaign cell (build, bounded run, the
+//! [`invariants`] audit) that [`chaos`], the adversary and [`litmus`]
+//! share. [`chaos`] adds the fault-injection campaign runner: sweeps of
+//! fault kind × rate × workload through `ise-core`'s [`chaos
+//! layer`](ise_core::faults), audited after every run.
 
 //!
 //! [`litmus`] lowers the symbolic litmus programs of `ise-consistency`
@@ -31,6 +32,7 @@
 //! the result — EInject store faults included — through the same
 //! FSB/handler recovery path every other workload uses.
 
+pub mod cell;
 pub mod chaos;
 pub mod experiments;
 pub mod guest;
@@ -39,9 +41,8 @@ pub mod litmus;
 pub mod report;
 pub mod system;
 
+pub use cell::{CellRun, FaultCell};
 pub use chaos::{ChaosCampaign, ChaosConfig, ChaosReport, ChaosRun};
 pub use guest::{run_guest_program, run_guest_program_with_cut, GuestRun};
-pub use litmus::{
-    litmus_workload, loc_addr, run_litmus_case, run_litmus_on_sim, FaultOverlay, LitmusRun,
-};
+pub use litmus::{litmus_workload, loc_addr, run_litmus_case, FaultOverlay, LitmusRun};
 pub use system::{System, SystemStats};

@@ -2,10 +2,10 @@
 //!
 //! The fuzzing harness cross-checks three oracles; this module supplies
 //! the third one: it lowers a [`LitmusProgram`] onto the assembled
-//! Fig. 4 [`System`] and reports the planes the differential check
-//! compares — exception counts, the functional memory image, and the
-//! post-run invariants the chaos campaigns assert (store conservation,
-//! FSB drain, the Table 5 ordering contract).
+//! Fig. 4 [`System`](crate::System) and reports the planes the
+//! differential check compares — exception counts, the functional memory
+//! image, and the campaign audit every fault cell runs
+//! ([`crate::invariants`]).
 //!
 //! Lowering maps each symbolic location `A..H` to the base of its own
 //! EInject page (`EINJECT_BASE + i * PAGE_SIZE`), so "this location
@@ -17,19 +17,18 @@
 //! one-directional comparisons (e.g. "the machine saw no imprecise
 //! detection on any path ⇒ the simulator saw none either").
 
-use crate::invariants;
-use crate::system::{System, SystemStats};
+use crate::cell::FaultCell;
+use crate::system::SystemStats;
 use ise_consistency::program::{LitmusProgram, Loc, StmtOp};
-use ise_core::{FaultInjector, FaultPlan, FaultResolver};
+use ise_core::FaultPlan;
 use ise_engine::Cycle;
 use ise_types::addr::{Addr, PAGE_SIZE};
 use ise_types::config::{OsCostConfig, SystemConfig};
 use ise_types::instr::Instruction;
 use ise_types::model::ConsistencyModel;
-use ise_types::{FaultKind, FaultSpec, InstrKind};
+use ise_types::{FaultKind, FaultSpec};
 use ise_workloads::layout::EINJECT_BASE;
 use ise_workloads::Workload;
-use std::rc::Rc;
 
 /// Cycle budget for one lowered litmus program. The programs the fuzzer
 /// emits are at most eight instructions, so a run that is still going
@@ -97,9 +96,9 @@ pub struct LitmusRun {
     /// machine's reachable-value envelope, not equal to one particular
     /// final state.
     pub mem: Vec<u64>,
-    /// Post-run invariant violations: store conservation per surviving
-    /// core, FSB rings drained, and the Table 5 ordering contract.
-    /// Empty on a healthy run.
+    /// A `timeout:` violation when the run exhausted its budget,
+    /// otherwise the campaign audit's violations followed by its
+    /// applied-visibility findings. Empty on a healthy run.
     pub violations: Vec<String>,
     /// Whether any core's process was killed by an irrecoverable fault.
     pub any_killed: bool,
@@ -126,39 +125,16 @@ pub struct FaultOverlay {
 /// tick loop); the differential harness runs both and byte-compares
 /// [`LitmusRun::stats_json`].
 ///
-/// `overlay_seed` switches the fault source: `None` marks the `faulting`
+/// `overlay` switches the fault source: `None` marks the `faulting`
 /// locations' pages in EInject (permanent faults the OS resolves by
-/// retrieving the FSB), while `Some(seed)` leaves EInject inert and
-/// instead chains a seeded [`FaultPlan`] of transient bus errors on
-/// those same pages — the chaos-campaign idiom, exercising the
-/// retry/recovery path instead of the page-resolve path.
-pub fn run_litmus_on_sim(
-    prog: &LitmusProgram,
-    faulting: &[Loc],
-    model: ConsistencyModel,
-    skip: bool,
-    overlay_seed: Option<u64>,
-) -> LitmusRun {
-    run_litmus_case(
-        prog,
-        faulting,
-        model,
-        skip,
-        overlay_seed.map(|seed| FaultOverlay {
-            seed,
-            clears_after: 1,
-        }),
-        None,
-    )
-}
-
-/// [`run_litmus_on_sim`] with the full campaign surface: an explicit
-/// [`FaultOverlay`] (healing horizon included) and an optional
-/// [`OsCostConfig`] override, so adversarial campaigns can replay a
-/// finding against a deliberately unhardened recovery configuration.
-/// Also clamps the cycle budget to the `ISE_CELL_BUDGET` watchdog and
-/// degrades exhaustion to a deterministic `timeout:` violation instead
-/// of panicking out of a campaign worker.
+/// retrieving the FSB), while `Some` leaves EInject inert and instead
+/// arms a seeded [`FaultPlan`] of transient bus errors on those same
+/// pages, exercising the retry/recovery path instead of the
+/// page-resolve path. `os_costs` overrides the OS cost model, so
+/// adversarial campaigns can replay a finding against a deliberately
+/// unhardened recovery configuration. Budget exhaustion (including the
+/// `ISE_CELL_BUDGET` watchdog) degrades to a deterministic `timeout:`
+/// violation instead of panicking out of a campaign worker.
 pub fn run_litmus_case(
     prog: &LitmusProgram,
     faulting: &[Loc],
@@ -180,90 +156,31 @@ pub fn run_litmus_case(
     );
 
     let workload = litmus_workload("fuzz-litmus", prog, faulting);
-    let mut sys = match overlay {
-        None => System::new(cfg, &workload),
-        Some(FaultOverlay { seed, clears_after }) => {
-            // Chaos idiom: EInject stays inert, the injector is the only
-            // fault source.
-            let injector: Rc<FaultInjector> = Rc::new(
-                FaultPlan::new(seed ^ 0xF417)
-                    .pages(
-                        faulting.iter().map(|&l| loc_addr(l).page()),
-                        FaultSpec::bus_error(FaultKind::Transient { clears_after }),
-                    )
-                    .build(),
-            );
-            let mut quiet = workload.clone();
-            quiet.einject_pages.clear();
-            System::with_fault_sources(cfg, &quiet, vec![injector as Rc<dyn FaultResolver>])
-        }
-    }
-    .with_contract_monitor();
-
-    let budget = match ise_engine::cell_budget() {
-        Some(cap) => LITMUS_MAX_CYCLES.min(cap),
-        None => LITMUS_MAX_CYCLES,
-    };
-    let (stats, timed_out) = sys.run_bounded(budget, skip);
-
-    let mut violations = Vec::new();
-    if timed_out {
+    let plan = overlay.map(|FaultOverlay { seed, clears_after }| {
+        FaultPlan::new(seed ^ 0xF417).pages(
+            workload.einject_pages.iter().copied(),
+            FaultSpec::bus_error(FaultKind::Transient { clears_after }),
+        )
+    });
+    let mut cell = FaultCell::build(cfg, &workload, plan);
+    let run = cell.run(LITMUS_MAX_CYCLES, skip);
+    let mut violations = run.audit.violations;
+    violations.extend(run.audit.corruption);
+    if run.timed_out {
+        let budget = run.budget;
         violations.push(format!("timeout: cell budget of {budget} cycles exhausted"));
     }
-    if !timed_out {
-        if stats.retired() != workload.total_instructions() as u64 && stats.killed == 0 {
-            violations.push(format!(
-                "run did not complete: {} of {} instructions retired in {} cycles",
-                stats.retired(),
-                workload.total_instructions(),
-                stats.cycles,
-            ));
-        }
-        // Store conservation only counts models with a store buffer:
-        // under SC stores complete through the cache hierarchy directly,
-        // so the drained/coalesced terms are structurally zero.
-        for (i, trace) in workload.traces.iter().enumerate() {
-            if sys.process_killed(i) || !model.has_store_buffer() {
-                continue;
-            }
-            let retired_stores = trace
-                .iter()
-                .filter(|ins| matches!(ins.kind, InstrKind::Store { .. }))
-                .count() as u64;
-            let accounted = sys.cores()[i].sb_drained()
-                + sys.cores()[i].sb_coalesced()
-                + stats.applied_per_core[i];
-            if retired_stores != accounted {
-                violations.push(format!(
-                    "core {i}: {retired_stores} stores retired but {accounted} accounted \
-                     (drained {} + coalesced {} + os-applied {})",
-                    sys.cores()[i].sb_drained(),
-                    sys.cores()[i].sb_coalesced(),
-                    stats.applied_per_core[i],
-                ));
-            }
-        }
-        if !sys.fsbs_empty() {
-            violations.push("an FSB ring ended with head != tail".to_string());
-        }
-        if let Err(v) = sys.check_contract() {
-            violations.push(format!("ordering contract violated: {v:?}"));
-        }
-        if model.has_store_buffer() {
-            violations.extend(invariants::containment_violations(&sys, &stats));
-        }
-        violations.extend(invariants::applied_visibility_violations(&sys));
-    }
 
+    let sys = &cell.sys;
     let mem = prog
         .locations()
         .into_iter()
         .map(|l| sys.memory().read(loc_addr(l)))
         .collect();
     let any_killed = (0..workload.traces.len()).any(|i| sys.process_killed(i));
-    let stats_json = stats.to_registry().render();
+    let stats_json = run.stats.to_registry().render();
     LitmusRun {
-        stats,
+        stats: run.stats,
         stats_json,
         mem,
         violations,
@@ -315,7 +232,7 @@ mod tests {
 
     #[test]
     fn clean_run_is_healthy_and_exception_free() {
-        let run = run_litmus_on_sim(&mp(), &[], ConsistencyModel::Pc, true, None);
+        let run = run_litmus_case(&mp(), &[], ConsistencyModel::Pc, true, None, None);
         assert!(run.violations.is_empty(), "{:?}", run.violations);
         assert!(!run.any_killed);
         assert_eq!(run.stats.imprecise_exceptions, 0);
@@ -327,7 +244,14 @@ mod tests {
 
     #[test]
     fn faulting_run_takes_exceptions_and_applies_stores_via_os() {
-        let run = run_litmus_on_sim(&mp(), &[Loc(0), Loc(1)], ConsistencyModel::Pc, true, None);
+        let run = run_litmus_case(
+            &mp(),
+            &[Loc(0), Loc(1)],
+            ConsistencyModel::Pc,
+            true,
+            None,
+            None,
+        );
         assert!(run.violations.is_empty(), "{:?}", run.violations);
         assert!(run.stats.imprecise_exceptions + run.stats.precise_exceptions > 0);
         assert!(run.stats.stores_applied > 0);
@@ -337,15 +261,19 @@ mod tests {
 
     #[test]
     fn both_clocks_agree_byte_for_byte() {
-        let a = run_litmus_on_sim(&mp(), &[Loc(0)], ConsistencyModel::Pc, false, None);
-        let b = run_litmus_on_sim(&mp(), &[Loc(0)], ConsistencyModel::Pc, true, None);
+        let a = run_litmus_case(&mp(), &[Loc(0)], ConsistencyModel::Pc, false, None, None);
+        let b = run_litmus_case(&mp(), &[Loc(0)], ConsistencyModel::Pc, true, None, None);
         assert_eq!(a.stats_json, b.stats_json);
         assert_eq!(a.mem, b.mem);
     }
 
     #[test]
     fn transient_overlay_recovers_without_killing() {
-        let run = run_litmus_on_sim(&mp(), &[Loc(0)], ConsistencyModel::Pc, true, Some(9));
+        let overlay = Some(FaultOverlay {
+            seed: 9,
+            clears_after: 1,
+        });
+        let run = run_litmus_case(&mp(), &[Loc(0)], ConsistencyModel::Pc, true, overlay, None);
         assert!(run.violations.is_empty(), "{:?}", run.violations);
         assert!(!run.any_killed);
     }

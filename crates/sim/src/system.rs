@@ -156,7 +156,7 @@ impl ToJson for SystemStats {
 
 /// The full system: cores, hierarchy, FSBs, EInject, OS.
 pub struct System {
-    cfg: SystemConfig,
+    pub(crate) cfg: SystemConfig,
     hier: MemoryHierarchy,
     cores: Vec<Core<VecTrace>>,
     fsbs: Vec<Fsb>,
@@ -1242,15 +1242,11 @@ mod tests {
         assert!(sys.fsbs_empty(), "kill leaves no orphaned FSB entries");
         let discarded = sys.discarded_per_core()[0];
         assert!(discarded > 0, "the kill path must discard something");
-        // Killed-core conservation closes through the discard ledger.
-        assert_eq!(
-            invariants::containment_violations(&sys, &stats),
-            Vec::<String>::new()
-        );
-        assert!(
-            invariants::applied_visibility_violations(&sys).is_empty(),
-            "everything the kernel recorded as applied is visible"
-        );
+        // Killed-core conservation closes through the discard ledger, and
+        // everything the kernel recorded as applied is visible.
+        let audit = invariants::audit(&sys, &workload, &stats);
+        assert_eq!(audit.violations, Vec::<String>::new());
+        assert_eq!(audit.corruption, Vec::<String>::new());
         // The telemetry plane merged the kill-path counters cleanly.
         let reg = &sys.telemetry().registry;
         assert_eq!(reg.counter("core0.kill_discarded"), discarded);

@@ -85,7 +85,7 @@ impl TelemetryConfig {
         )
     }
 
-    /// The value-level seam under [`from_env`], testable without
+    /// The value-level seam under [`from_env`](Self::from_env), testable without
     /// touching the process environment.
     ///
     /// # Panics

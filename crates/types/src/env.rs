@@ -118,16 +118,6 @@ pub fn cycles_from(name: &str, value: Option<&str>) -> Option<u64> {
     value.map(|v| parse_cycles(v).unwrap_or_else(|e| panic!("{name}: {e}")))
 }
 
-/// Reads the positive cycle-count environment variable `name` through
-/// [`cycles_from`].
-///
-/// # Panics
-///
-/// Panics if the variable is set to anything but a positive integer.
-pub fn env_cycles(name: &str) -> Option<u64> {
-    cycles_from(name, std::env::var(name).ok().as_deref())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -25,12 +25,6 @@ impl TraceRecorder {
         self.trace.into()
     }
 
-    /// The recorded trace as a plain vector, for callers that keep
-    /// appending or splicing after recording.
-    pub fn into_vec(self) -> Vec<Instruction> {
-        self.trace
-    }
-
     /// Instructions recorded so far.
     pub fn len(&self) -> usize {
         self.trace.len()

@@ -80,6 +80,30 @@ fn sweep_holds_invariants_across_kinds_rates_workloads() {
 }
 
 #[test]
+fn sc_sweep_holds_invariants_without_a_store_buffer() {
+    // Under SC stores bypass the store buffer, so the audit must not
+    // demand store-buffer conservation or containment there.
+    let mut cfg = sweep_config(0x5C);
+    cfg.kinds = vec![
+        FaultKind::Permanent,
+        FaultKind::Transient { clears_after: 2 },
+    ];
+    let sc = small_cfg().with_model(ConsistencyModel::Sc);
+    let report = ChaosCampaign::new(sc, cfg).run(&[tiny_kv()]);
+    assert_eq!(report.runs.len(), 6);
+    assert!(report.runs.iter().all(|r| r.denied > 0), "faults must fire");
+    assert!(
+        report.all_ok(),
+        "{:?}",
+        report
+            .runs
+            .iter()
+            .map(|r| &r.violations)
+            .collect::<Vec<_>>()
+    );
+}
+
+#[test]
 fn same_seed_yields_byte_identical_reports() {
     let mut cfg = sweep_config(0xBEEF);
     cfg.kinds.truncate(3);

@@ -10,12 +10,12 @@
 //! which ignore the override.
 
 use imprecise_store_exceptions::aso::sweep_checkpoints_clocked;
-use imprecise_store_exceptions::core_hw::{FaultPlan, FaultResolver};
+use imprecise_store_exceptions::core_hw::FaultPlan;
 use imprecise_store_exceptions::sim::experiments::{
     fig5_demand_paging_with_workers, fig5_with_workers, fig6_with_workers, table3_with_workers,
     Fig6Scale, Table3Scale,
 };
-use imprecise_store_exceptions::sim::System;
+use imprecise_store_exceptions::sim::{FaultCell, System};
 use imprecise_store_exceptions::types::addr::Addr;
 use imprecise_store_exceptions::types::instr::FenceKind;
 use imprecise_store_exceptions::types::{
@@ -25,7 +25,6 @@ use imprecise_store_exceptions::workloads::kvstore::{kv_workload, KvConfig, KvEn
 use imprecise_store_exceptions::workloads::layout::EINJECT_BASE;
 use imprecise_store_exceptions::workloads::stats::touched_pages;
 use imprecise_store_exceptions::workloads::Workload;
-use std::rc::Rc;
 
 const MAX_CYCLES: u64 = 200_000_000;
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -207,10 +206,8 @@ fn clocks_agree_under_chaos_fault_plans() {
         pages
     };
     assert!(!touched.is_empty(), "kv workload must touch faulting pages");
-    // EInject stays inert; the plan injector is the only fault source,
-    // exactly as the chaos campaigns run their cells.
-    let mut quiet = workload.clone();
-    quiet.einject_pages.clear();
+    // Built as the chaos campaigns build their cells: EInject stays
+    // inert and the plan injector is the only fault source.
     for kind in [
         FaultKind::Permanent,
         FaultKind::Transient { clears_after: 2 },
@@ -221,16 +218,11 @@ fn clocks_agree_under_chaos_fault_plans() {
         },
     ] {
         assert_clocks_agree(&format!("fault plan {kind:?}"), || {
-            let injector = Rc::new(
-                FaultPlan::new(0xC10C)
-                    .pages(
-                        touched.iter().step_by(2).copied(),
-                        FaultSpec::bus_error(kind),
-                    )
-                    .build(),
+            let plan = FaultPlan::new(0xC10C).pages(
+                touched.iter().step_by(2).copied(),
+                FaultSpec::bus_error(kind),
             );
-            System::with_fault_sources(cfg2(), &quiet, vec![injector as Rc<dyn FaultResolver>])
-                .with_contract_monitor()
+            FaultCell::build(cfg2(), &workload, Some(plan)).sys
         });
     }
 }
